@@ -26,7 +26,7 @@ from .harness import (ExperimentConfig, MonteCarloResult, TrialTrace,
 from .ingest import (Dataset, load_csv, sidecar_path, surrogate_truth, write_csv,
                      write_sidecar)
 from .likelihood import (CensoredTerm, ScoreInfo, evaluate, info_scalar,
-                         interval_bounds, loss, score_scalar)
+                         interval_bounds, loss, score_info, score_scalar)
 from .numkit import (cholesky_solve, derive, fwht_in_place, gauss_pdf, gauss_q,
                      gauss_q_inv, interval_log_prob, rank_one_inverse_update,
                      substream)
@@ -44,7 +44,7 @@ __all__ = [
     "substream", "derive",
     # likelihood
     "CensoredTerm", "ScoreInfo", "interval_bounds", "loss", "score_scalar",
-    "info_scalar", "evaluate",
+    "info_scalar", "evaluate", "score_info",
     # censor
     "CensorDecision", "ThresholdPlan", "nac_decide", "ac_decide",
     "robust_decide", "nac_threshold_exact", "censor_prob_exact",

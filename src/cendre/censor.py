@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,27 +108,31 @@ def _check_pi(pi_star: float) -> float:
     return float(pi_star)
 
 
+def _half_tail_quantiles(pi_star):
+    """Q^-1((1-pi)/2): the two-sided Gaussian threshold with tail mass 1-pi."""
+    return gauss_q_inv(0.5 * (1.0 - np.asarray(pi_star, dtype=np.float64)))
+
+
 @lru_cache(maxsize=256)
 def _half_tail_quantile(pi_star: float) -> float:
-    # Q^-1((1-pi)/2): the two-sided Gaussian threshold with tail mass 1-pi.
     # Cached: threshold plans evaluate this once per datum with the same
     # target, and the quantile is by far the costliest piece of tau_n.
-    if pi_star == 0.0:
-        return 0.0
-    return gauss_q_inv(0.5 * (1.0 - pi_star))
+    return float(_half_tail_quantiles(pi_star))
 
 
-def nac_threshold_exact(x, gram_inv, pi_star: float) -> float:
+def nac_threshold_exact(x, gram_inv, pi_star: float):
     """Per-datum threshold hitting censoring probability pi_star exactly.
 
     The NAC prediction error has variance sigma^2 (x' gram_inv x + 1)
     for a preliminary LSE with Gram inverse gram_inv, so
-    tau* = sqrt(x' gram_inv x + 1) * Q^-1((1-pi*)/2).
+    tau* = sqrt(x' gram_inv x + 1) * Q^-1((1-pi*)/2).  x may stack
+    several data along leading axes; the result then has those axes.
     """
     _check_pi(pi_star)
     x = np.asarray(x, dtype=np.float64)
-    lever = float(x @ (np.asarray(gram_inv) @ x))
-    return math.sqrt(lever + 1.0) * _half_tail_quantile(pi_star)
+    lever = np.einsum("...i,ij,...j->...", x, np.asarray(gram_inv), x)
+    out = np.sqrt(lever + 1.0) * _half_tail_quantile(pi_star)
+    return out if out.ndim else float(out)
 
 
 def censor_prob_exact(x, gram_inv, tau: float) -> float:
@@ -171,18 +175,20 @@ def ac_threshold_online(x, C, n: int, pi_star: float) -> float:
     return math.sqrt(q + 1.0) * _half_tail_quantile(pi_star)
 
 
-def ac_threshold_offline(p: int, n: int, pi_star: float) -> float:
-    """Constant-target offline AC threshold at step n.
+def ac_threshold_offline(p: int, n, pi_star: float):
+    """Constant-target offline AC threshold at step n (a scalar or an array).
 
     tau_n = sqrt(p/((n-1)(1-pi*)) + 1) * Q^-1((1-pi*)/2); decreasing in
     n toward the asymptote Q^-1((1-pi*)/2).
     """
     if p < 1:
         raise DomainError("p must be positive")
-    if n < 2:
+    n = np.asarray(n)
+    if (n < 2).any():
         raise DomainError("offline threshold is defined for n >= 2")
     _check_pi(pi_star)
-    return math.sqrt(p / ((n - 1) * (1.0 - pi_star)) + 1.0) * _half_tail_quantile(pi_star)
+    out = np.sqrt(p / ((n - 1) * (1.0 - pi_star)) + 1.0) * _half_tail_quantile(pi_star)
+    return out if out.ndim else float(out)
 
 
 def ac_threshold_schedule(p: int, pi_schedule) -> list[float]:
@@ -209,6 +215,7 @@ def ac_threshold_schedule(p: int, pi_schedule) -> list[float]:
 
 
 _PLAN_KINDS = ("constant", "nac-exact", "nac-clt", "ac-online", "ac-offline")
+_TABLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -296,31 +303,76 @@ class ThresholdPlan:
         return self.target_pi
 
     def threshold(self, n: int, x=None, quadratic_form: float | None = None) -> float:
-        """tau_n for step n; x or x'Cx/n supplied by the caller where needed."""
+        """tau_n for step n; x or x'Cx/n supplied by the caller where needed.
+
+        Kinds that depend on n alone read blocks of :meth:`thresholds`
+        computed on first use, so a per-datum caller pays for the vector
+        path once per block of steps, not once per step.
+        """
+        if n < 1:
+            raise DomainError("threshold steps start at n = 1")
+        if self.kind in ("nac-exact", "ac-online"):
+            if x is not None:
+                x = np.asarray(x, dtype=np.float64)[None]
+            if quadratic_form is not None:
+                quadratic_form = np.array([quadratic_form], dtype=np.float64)
+            return float(self.thresholds(n, n + 1, x=x, quadratic_form=quadratic_form)[0])
+        k, i = divmod(n - 1, _TABLE_BLOCK)
+        block = self._blocks.get(k)
+        if block is None:
+            start = k * _TABLE_BLOCK + 1
+            stop = start + _TABLE_BLOCK
+            if isinstance(self.target_pi, tuple):
+                stop = min(stop, len(self.target_pi) + 1)
+            block = self._blocks[k] = self.thresholds(start, max(start, stop))
+        return float(block[i])
+
+    def thresholds(self, start: int, stop: int, x=None, quadratic_form=None) -> np.ndarray:
+        """tau_n for n = start, ..., stop - 1, along the first axis.
+
+        nac-exact reads each step's x (first axis n, last axis p) and
+        ac-online the estimator's x'Cx/n (first axis n); axes in between
+        carry through, so one call serves several streams at once.
+        """
+        n = np.arange(start, stop)
         if self.kind == "constant":
-            return self.tau
+            return np.full(n.size, self.tau)
         if self.kind == "nac-exact":
             if x is None:
                 raise ConfigError("nac-exact threshold needs the datum's x")
-            return nac_threshold_exact(x, self.gram_inv, self.pi_at(n))
+            return nac_threshold_exact(x, self.gram_inv, self.target_pi)
         if self.kind == "nac-clt":
-            return nac_threshold_clt(self.p, self.K, self.pi_at(n))
+            return np.full(n.size, nac_threshold_clt(self.p, self.K, self.target_pi))
         if self.kind == "ac-online":
             if quadratic_form is None:
                 raise ConfigError("ac-online threshold needs x'Cx/n from the estimator")
-            return math.sqrt(max(quadratic_form, 0.0) + 1.0) * _half_tail_quantile(self.pi_at(n))
-        # ac-offline
-        if n == 1:
-            return 0.0
+            q = np.maximum(np.asarray(quadratic_form, dtype=np.float64), 0.0)
+            return np.sqrt(q + 1.0) * _half_tail_quantile(self.target_pi)
+        # ac-offline: tau_1 = 0, then the prefactor anticipates the
+        # expected kept count sum_{i<n} (1 - pi*_i).
+        later = n[1:] if start == 1 else n
         if isinstance(self.target_pi, tuple):
-            kept_mass = sum(1.0 - v for v in self.target_pi[: n - 1])
-            if kept_mass <= 0.0:
-                raise DomainError("empty expected kept mass in schedule prefix")
-            return math.sqrt(self.p / kept_mass + 1.0) * _half_tail_quantile(self.pi_at(n))
-        return ac_threshold_offline(self.p, n, self.target_pi)
+            taus = np.sqrt(self.p / self._kept_mass[later - 1] + 1.0) * self._quantiles[later - 1]
+        else:
+            taus = ac_threshold_offline(self.p, later, self.target_pi)
+        return np.concatenate(([0.0], taus)) if start == 1 else taus
+
+    @cached_property
+    def _blocks(self) -> dict:
+        """tau_n blocks by (n - 1) // _TABLE_BLOCK, filled as steps ask for them."""
+        return {}
+
+    @cached_property
+    def _kept_mass(self) -> np.ndarray:
+        """Expected kept count before each step of a per-datum schedule."""
+        return np.concatenate(([0.0], np.cumsum([1.0 - v for v in self.target_pi])))
+
+    @cached_property
+    def _quantiles(self) -> np.ndarray:
+        return _half_tail_quantiles(self.target_pi)
 
     def schedule(self, upto: int) -> np.ndarray:
         """tau_1..tau_upto as an array, for kinds that depend only on n."""
         if self.kind in ("nac-exact", "ac-online"):
             raise ConfigError(f"{self.kind} thresholds are per-datum; no static schedule")
-        return np.array([self.threshold(n) for n in range(1, upto + 1)], dtype=np.float64)
+        return self.thresholds(1, upto + 1)

@@ -138,7 +138,8 @@ def _panels(spec: StreamSpec):
     The panel size is a constant, never caller-chosen: matrix products
     round differently for different operand shapes, so computing in
     caller-sized chunks would leak the consumption pattern into the
-    last bits of the stream.
+    last bits of the stream.  No panel outlives the consumer's hold on
+    it: the generator keeps no reference to what it has yielded.
     """
     L = _chol_factor(spec)
     theta = spec.resolved_theta()
@@ -148,9 +149,8 @@ def _panels(spec: StreamSpec):
     if spec.has_outliers:
         rng_of = substream(spec.seed, _OUT_FLAG)
         rng_om = substream(spec.seed, _OUT_MAG)
-    remaining = spec.D
-    while remaining > 0:
-        m = min(_BLOCK, remaining)
+
+    def draw(m: int):
         X = rng_x.standard_normal((m, spec.p))
         if L is not None:
             X = X @ L.T
@@ -162,17 +162,27 @@ def _panels(spec: StreamSpec):
             flags = rng_of.random(m) < spec.outlier_prob
             mags = rng_om.standard_normal(m) * np.sqrt(spec.outlier_var)
             y = y + flags * mags
-        yield y, X
+        return y, X
+
+    remaining = spec.D
+    while remaining > 0:
+        m = min(_BLOCK, remaining)
         remaining -= m
+        yield draw(m)
 
 
-def generate(spec: StreamSpec):
+def generate(spec: StreamSpec, panels: bool = False):
     """Lazily yield the stream's (y, x) data in order.
 
     y is a float and x a length-p array; storage stays O(panel * p)
     regardless of D, and the values are bitwise identical to
-    ``materialize`` of the same spec.
+    ``materialize`` of the same spec.  With panels=True the walk yields
+    the internal (y, X) panels themselves, up to 1024 consecutive data
+    each, instead of one datum at a time.
     """
+    if panels:
+        yield from _panels(spec)
+        return
     for y, X in _panels(spec):
         yield from zip(y, X)
 

@@ -3,6 +3,9 @@
 Wires a data source (synthetic stream or CSV dataset) through a
 censoring rule into an estimator, records error and cost metrics on a
 compact schedule, repeats over derived replicate seeds, and aggregates.
+The replicates of a streaming method advance in lockstep, as one state
+(see ``_Lockstep``); the single-stream estimator classes are the
+reference it is tested against.
 
 Everything is reproducible: replicate r of a config with seed s runs
 on child seed derive(s, r), the true coefficients are resolved once
@@ -17,20 +20,18 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .censor import ThresholdPlan, nac_decide
+from .censor import ThresholdPlan, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize, toeplitz_cov
 from .errors import ConfigError, DomainError, SingularityError
-from .estimators import (ACLMS, ACRLS, LMS, RLS, FirstOrderCensoredMLE,
-                         RobustACLMS, RobustACRLS, SecondOrderCensoredMLE,
-                         StepSize, kaczmarz_run, preliminary_fit)
+from .estimators import _SINGULAR_TOL, StepSize, kaczmarz_run, preliminary_fit
 from .ingest import load_csv, surrogate_truth
+from .likelihood import score_info
 from .numkit.gaussian import gauss_pdf, gauss_q, gauss_q_inv
 from .numkit.rng import derive
 from .sketch import solve_reduced, srht_reduce, uniform_reduce
@@ -53,6 +54,9 @@ AC_METHODS = ("ac-lms", "ac-rls", "rac-lms", "rac-rls")
 PLAIN_METHODS = ("lms", "rls", "kaczmarz")
 BATCH_METHODS = ("srht", "uniform")
 ALL_METHODS = NAC_METHODS + AC_METHODS + PLAIN_METHODS + BATCH_METHODS
+# Methods that consume the stream datum by datum through a recursion.
+STREAM_METHODS = NAC_METHODS + AC_METHODS + ("lms", "rls")
+_FIRST_ORDER = ("samle1", "lms", "ac-lms", "rac-lms")
 
 _NAC_CENSOR_KINDS = ("constant", "nac-exact", "nac-clt")
 _AC_CENSOR_KINDS = ("constant", "ac-online", "ac-offline")
@@ -93,7 +97,6 @@ class ExperimentConfig:
     tau_out: float | None = None
     ratio: float | None = None
     record_at: tuple[int, ...] | None = None
-    threads: int = 1
     passes: int = 1
     raw: dict | None = None
 
@@ -104,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError("field 'seed' must be nonnegative")
         if self.replicates < 1:
             raise ConfigError("field 'replicates' must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("field 'threads' must be >= 1")
         if (self.stream is None) == (self.dataset_path is None):
             raise ConfigError("exactly one of 'stream' and 'dataset' is required")
         if self.passes < 1:
@@ -180,8 +181,7 @@ class ExperimentConfig:
         if schema != 1:
             raise ConfigError(f"unsupported config schema {schema!r}; this build reads schema 1")
         known = {"schema", "method", "seed", "replicates", "stream", "dataset",
-                 "K", "estimator", "censor", "ratio", "record_at", "threads",
-                 "passes"}
+                 "K", "estimator", "censor", "ratio", "record_at", "passes"}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
@@ -228,15 +228,15 @@ class ExperimentConfig:
                    K=int(doc["K"]) if "K" in doc else None, mu=mu,
                    epsilon=epsilon, censor=doc.get("censor"), tau_out=tau_out,
                    ratio=float(doc["ratio"]) if "ratio" in doc else None,
-                   record_at=record_at, threads=int(doc.get("threads", 1)),
-                   passes=int(doc.get("passes", 1)), raw=_deep_copy_json(doc))
+                   record_at=record_at, passes=int(doc.get("passes", 1)),
+                   raw=_deep_copy_json(doc))
 
     def to_dict(self) -> dict:
         """Config echo for summaries; the original document if one exists."""
         if self.raw is not None:
             return _deep_copy_json(self.raw)
         doc: dict = {"schema": 1, "method": self.method, "seed": self.seed,
-                     "replicates": self.replicates, "threads": self.threads}
+                     "replicates": self.replicates}
         if self.stream is not None:
             doc["stream"] = _stream_to_dict(self.stream)
         if self.dataset_path is not None:
@@ -341,7 +341,6 @@ class TrialTrace:
     multiplies: np.ndarray
     kept_total: int
     final_theta: np.ndarray
-    final_snapshot: dict | None = None
 
     @property
     def steps(self) -> int:
@@ -357,8 +356,8 @@ def _dataset_arrays(path: str, options_key: tuple):
     return ds.design, ds.response, theta_o, sigma
 
 
-def _source_arrays(cfg: ExperimentConfig, replicate_seed: int):
-    """(X, y, theta_o, sigma) for one replicate."""
+def _source_arrays(cfg: ExperimentConfig, replicate_seed: int, data=None):
+    """(X, y, theta_o, sigma) for one replicate; data is its (X, y) if drawn already."""
     if cfg.dataset_path is not None:
         key = tuple(sorted(cfg.dataset_options.items()))
         X, y, theta_o, sigma = _dataset_arrays(cfg.dataset_path, key)
@@ -367,17 +366,50 @@ def _source_arrays(cfg: ExperimentConfig, replicate_seed: int):
             y = np.tile(y, cfg.passes)
         return X, y, theta_o, sigma
     inst = cfg.stream.pinned().with_seed(replicate_seed)
-    X, y = materialize(inst)
+    X, y = materialize(inst) if data is None else data
     return X, y, inst.resolved_theta(), inst.sigma
 
 
-def _stream_pairs(cfg: ExperimentConfig, replicate_seed: int):
-    """(iterator of (y, x), total count, theta_o, sigma)."""
-    if cfg.dataset_path is not None:
-        X, y, theta_o, sigma = _source_arrays(cfg, replicate_seed)
-        return zip(y, X), X.shape[0], theta_o, sigma
-    inst = cfg.stream.pinned().with_seed(replicate_seed)
-    return generate(inst), inst.D, inst.resolved_theta(), inst.sigma
+def _replicate_panels(cfg: ExperimentConfig, seeds, data=None):
+    """(panels, total, theta_o, sigma) for all replicates side by side.
+
+    panels yields (y, X) blocks of consecutive data shaped (m, R) and
+    (m, R, p).  A dataset, or data already drawn, is the same for every
+    replicate and is broadcast, not copied.  Synthetic streams are drawn
+    panel by panel into one buffer that every block overwrites, so one
+    panel per replicate is alive at a time.
+    """
+    R = len(seeds)
+    if cfg.dataset_path is not None or data is not None:
+        X, y, theta_o, sigma = _source_arrays(cfg, seeds[0], data)
+        return _broadcast_panels(X, y, R), len(y), theta_o, sigma
+    spec = cfg.stream.pinned()
+    return _drawn_panels(spec, seeds), spec.D, spec.theta, spec.sigma
+
+
+_PANEL = 1024  # rows per block of a stream held in memory
+
+
+def _broadcast_panels(X, y, R: int):
+    for a in range(0, len(y), _PANEL):
+        ya, Xa = y[a:a + _PANEL], X[a:a + _PANEL]
+        yield (np.broadcast_to(ya[:, None], (ya.size, R)),
+               np.broadcast_to(Xa[:, None], (ya.size, R, Xa.shape[1])))
+
+
+def _drawn_panels(spec: StreamSpec, seeds):
+    streams = [generate(spec.with_seed(s), panels=True) for s in seeds]
+    Y = X = None
+    while True:
+        for r, stream in enumerate(streams):
+            panel = next(stream, None)
+            if panel is None:
+                return
+            m = panel[0].size
+            if Y is None:
+                Y, X = np.empty((m, len(seeds))), np.empty((m, len(seeds), spec.p))
+            Y[:m, r], X[:m, r] = panel
+        yield Y[:m], X[:m]
 
 
 def _resolve_mu(cfg: ExperimentConfig, sigma: float) -> StepSize:
@@ -424,17 +456,22 @@ def _nac_plan(cfg: ExperimentConfig, prelim) -> ThresholdPlan:
     return ThresholdPlan.nac_clt(prelim.theta.shape[0], prelim.K, pi)
 
 
-def run_trial(cfg: ExperimentConfig, replicate_seed: int) -> TrialTrace:
-    """Execute one replicate of the config and return its trace."""
+def run_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
+    """Execute one replicate of the config and return its trace.
+
+    data, if given, is the replicate's stream as (X, y) arrays drawn
+    beforehand, e.g. by ``materialize``, so that timing a trial can
+    leave stream generation out.
+    """
     if cfg.method in BATCH_METHODS:
-        return _run_batch_trial(cfg, replicate_seed)
+        return _run_batch_trial(cfg, replicate_seed, data)
     if cfg.method == "kaczmarz":
-        return _run_kaczmarz_trial(cfg, replicate_seed)
-    return _run_stream_trial(cfg, replicate_seed)
+        return _run_kaczmarz_trial(cfg, replicate_seed, data)
+    return _run_lockstep(cfg, [replicate_seed], data)[0]
 
 
 def _trace(cfg, replicate_seed, marks, mses, ratios, mults, theta_o, kept,
-           final_theta, snapshot=None) -> TrialTrace:
+           final_theta) -> TrialTrace:
     norm2 = float(theta_o @ theta_o)
     mse = np.asarray(mses, dtype=np.float64)
     rse = mse / norm2 if norm2 > 0.0 else np.full_like(mse, np.nan)
@@ -443,8 +480,7 @@ def _trace(cfg, replicate_seed, marks, mses, ratios, mults, theta_o, kept,
                       censor_ratio=np.asarray(ratios, dtype=np.float64),
                       multiplies=np.asarray(mults, dtype=np.int64),
                       kept_total=int(kept),
-                      final_theta=np.array(final_theta, dtype=np.float64),
-                      final_snapshot=snapshot)
+                      final_theta=np.array(final_theta, dtype=np.float64))
 
 
 def _schedule_for(cfg: ExperimentConfig, N: int) -> tuple[int, ...]:
@@ -458,84 +494,252 @@ def _schedule_for(cfg: ExperimentConfig, N: int) -> tuple[int, ...]:
     return cfg.record_at
 
 
-def _run_stream_trial(cfg: ExperimentConfig, replicate_seed: int) -> TrialTrace:
-    pairs, total, theta_o, sigma = _stream_pairs(cfg, replicate_seed)
-    method = cfg.method
-
-    if method in NAC_METHODS or method in AC_METHODS:
+def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
+    """Run every replicate of a streaming method as one state (see _Lockstep)."""
+    panels, total, theta_o, sigma = _replicate_panels(cfg, seeds, data)
+    if cfg.method in NAC_METHODS or cfg.method in AC_METHODS:
         if sigma <= 0.0:
             raise ConfigError("censoring rules need a positive noise scale sigma")
-
-    prelim = None
-    if method in NAC_METHODS:
-        warm = list(itertools.islice(pairs, cfg.K))
-        if len(warm) < cfg.K:
-            raise ConfigError(f"stream provides {len(warm)} data, fewer than K={cfg.K}")
+    prelims = None
+    if cfg.method in NAC_METHODS:
+        if total < cfg.K:
+            raise ConfigError(f"stream provides {total} data, fewer than K={cfg.K}")
+        panels, prelims = _warm_up(panels, cfg.K, len(seeds))
+    marks = _schedule_for(cfg, total - (cfg.K if prelims else 0))
+    run = _Lockstep(cfg, len(seeds), theta_o, sigma, prelims, marks)
+    advance = run.nac_panel if prelims else run.ac_panel
+    for Y, X in panels:
         try:
-            prelim = preliminary_fit(warm)
+            advance(Y, X)
         except SingularityError as exc:
-            raise SingularityError(f"preliminary fit on the first K={cfg.K} data "
+            raise SingularityError(f"{cfg.method} broke down at step {run.n}: {exc}") from exc
+    return run.traces(cfg, seeds)
+
+
+def _warm_up(panels, K: int, R: int):
+    """(remaining panels, one preliminary fit per replicate on its first K data)."""
+    panels = iter(panels)
+    warm_y, warm_X, have = [], [], 0
+    while have < K:
+        Y, X = next(panels)
+        take = min(K - have, len(Y))
+        warm_y.append(Y[:take].copy())
+        warm_X.append(X[:take].copy())
+        have += take
+    warm_y, warm_X = np.concatenate(warm_y), np.concatenate(warm_X)
+    prelims = []
+    for r in range(R):
+        try:
+            prelims.append(preliminary_fit(zip(warm_y[:, r], warm_X[:, r])))
+        except SingularityError as exc:
+            raise SingularityError(f"preliminary fit on the first K={K} data "
                                    f"is rank deficient") from exc
-        N = total - cfg.K
-    else:
-        N = total
-    marks = _schedule_for(cfg, N)
-    mark_set = set(marks)
+    return itertools.chain([(Y[take:], X[take:])], panels), prelims
 
-    p = theta_o.shape[0]
-    if method == "samle1":
-        est = FirstOrderCensoredMLE(prelim, sigma, _resolve_mu(cfg, sigma))
-    elif method == "samle2":
-        est = SecondOrderCensoredMLE(prelim, sigma)
-    elif method == "lms":
-        est = LMS(p, _resolve_mu(cfg, sigma))
-    elif method == "rls":
-        est = RLS(p, epsilon=cfg.epsilon)
-    elif method == "ac-lms":
-        est = ACLMS(p, _resolve_mu(cfg, sigma), sigma, plan=_ac_plan(cfg, p))
-    elif method == "rac-lms":
-        est = RobustACLMS(p, _resolve_mu(cfg, sigma), sigma, cfg.tau_out,
-                          plan=_ac_plan(cfg, p))
-    elif method == "ac-rls":
-        est = ACRLS(p, sigma, epsilon=cfg.epsilon, plan=_ac_plan(cfg, p))
-    else:  # rac-rls
-        est = RobustACRLS(p, sigma, cfg.tau_out, epsilon=cfg.epsilon,
-                          plan=_ac_plan(cfg, p))
 
-    fixed_tau = _constant_tau(cfg)
-    nac_plan = _nac_plan(cfg, prelim) if method in NAC_METHODS else None
-    anchor = prelim.theta if prelim is not None else None
+class _Lockstep:
+    """The R replicates of one streaming method, advanced as one state.
 
-    mses, ratios, mults, out_marks = [], [], [], []
-    n = 0
-    try:
-        for y, x in pairs:
-            n += 1
-            if nac_plan is not None:
-                tau_n = nac_plan.threshold(n, x=x)
-                decision = nac_decide(float(y), float(x @ anchor), sigma, tau_n)
-                est.step(decision, x, tau_n)
-            elif method in AC_METHODS:
-                _, decision = est.step(float(y), x, fixed_tau)
+    theta is an (R, p) array and, for the second-order recursions, the
+    step matrix P (U for samle2) is (R, p, p).  Each datum gets one
+    vectorized update of all replicates: the gate (none, the NAC interval
+    term, the AC skip, the robust clip) sets a score beta and a weight h
+    per replicate, and the recursion is either theta += mu_n beta x or
+    the Sherman-Morrison step P <- (P^-1 + h x x')^-1, theta += beta P x.
+
+    NAC decisions against the fixed preliminary fits are taken a panel at
+    a time.  AC censored steps move neither theta nor P, so the
+    innovations of a block of upcoming data come from one product and
+    the scan jumps to the next step at which any replicate keeps; a block
+    spans twice the realized mean gap between such steps.  The multiply
+    ledger is the exact per-step count of the single-stream classes,
+    taken from the kept and clipped counts.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, R: int, theta_o, sigma: float, prelims, marks):
+        method = cfg.method
+        p = theta_o.shape[0]
+        self.method, self.sigma, self.theta_o, self.marks = method, sigma, theta_o, marks
+        self.theta = np.zeros((R, p))
+        self.P = None
+        if prelims is not None:
+            self.anchors = np.array([f.theta for f in prelims])
+            self.theta = self.anchors.copy()
+            self.plans = [_nac_plan(cfg, f) for f in prelims]
+            if method == "samle2":
+                self.P = np.array([(sigma * sigma) * f.gram_inv for f in prelims])
+        self.mu = _resolve_mu(cfg, sigma) if method in _FIRST_ORDER else None
+        self.plan = _ac_plan(cfg, p) if method in AC_METHODS else None
+        self.constant_tau = _constant_tau(cfg)
+        self.online = self.plan is not None and self.plan.needs_quadratic_form
+        self.tau_out = cfg.tau_out if method in ("rac-lms", "rac-rls") else None
+        self.gated = method not in ("lms", "rls")
+        # The ridge of the RLS family, when not given: a fraction of the
+        # first regressor's energy per coordinate (see RLS).
+        self.epsilon = cfg.epsilon
+        self.ridge = 1.0 if method == "rac-rls" or self.online else 1e-2
+        self.kept = np.zeros(R, dtype=np.int64)
+        self.clipped = np.zeros(R, dtype=np.int64)
+        self.n = self.events = 0
+        self._marks = iter(marks)
+        self.next_mark = next(self._marks)
+        self._at = []  # (mse, kept, clipped) per mark
+
+    # -- the recursion ----------------------------------------------------
+
+    def update(self, x, beta, h=None) -> None:
+        """One recursion step of every replicate (h = 1 when None).  A
+        replicate the gate holds back comes with x and beta zeroed, which
+        leaves its state exactly as it was."""
+        theta, P = self.theta, self.P
+        if self.mu is not None:
+            theta += (self.mu.at(self.n) * beta)[:, None] * x
+            return
+        v = np.matmul(P, x[:, :, None])[:, :, 0]
+        s = np.einsum("rp,rp->r", x, v)
+        denom = 1.0 + (s if h is None else h * s)
+        if np.abs(denom).min() < _SINGULAR_TOL:
+            raise SingularityError("information update denominator vanished"
+                                   if self.method == "samle2" else "update denominator vanished")
+        k = v * (1.0 / denom)[:, None]
+        P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
+        theta += beta[:, None] * k
+
+    def _record_at_mark(self) -> None:
+        if self.n == self.next_mark:
+            err = self.theta - self.theta_o
+            self._at.append((np.einsum("rp,rp->r", err, err), self.kept.copy(),
+                             self.clipped.copy()))
+            self.next_mark = next(self._marks, math.inf)
+
+    # -- the gates ----------------------------------------------------------
+
+    def nac_panel(self, Y, X) -> None:
+        """Censor a panel against the preliminary fits, then step through it."""
+        m, sigma = len(Y), self.sigma
+        y_hat = np.einsum("mrp,rp->mr", X, self.anchors)
+        tau = np.stack([plan.thresholds(self.n + 1, self.n + 1 + m, x=X[:, r])
+                        for r, plan in enumerate(self.plans)], axis=1)
+        bad = ~(np.isfinite(Y) & np.isfinite(y_hat) & np.isfinite(tau) & (tau >= 0.0))
+        if bad.any():
+            i, r = np.argwhere(bad)[0]
+            nac_decide(float(Y[i, r]), float(y_hat[i, r]), sigma, float(tau[i, r]))
+        keep = np.abs(Y - y_hat) >= tau * sigma
+        censored, value = ~keep, np.where(keep, Y, y_hat)
+        for i in range(m):
+            x = X[i]
+            beta, h = score_info(censored[i], value[i], np.einsum("rp,rp->r", x, self.theta),
+                                 tau[i], sigma)
+            self.n += 1
+            self.update(x, beta, h)
+            self.kept += keep[i]
+            self._record_at_mark()
+
+    def ac_panel(self, Y, X) -> None:
+        """Scan a panel for the data the AC gate keeps and update on those."""
+        R = Y.shape[1]
+        if self.P is None and self.mu is None:
+            eps = self.epsilon
+            if eps is None:
+                eps = self.ridge * np.einsum("rp,rp->r", X[0], X[0]) / X.shape[2]
+                if (eps <= 0.0).any():
+                    raise DomainError("first regressor has zero norm; supply epsilon")
+            self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
+        offline = self.plan is not None and not self.online
+        panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + len(Y))[:, None] if offline else None
+        i = 0
+        while i < len(Y):
+            n = self.n
+            B = min(len(Y) - i, (2 * n + 1) // (self.events + 1), self.next_mark - n)
+            Xb = X[i:i + B]
+            E = Y[i:i + B] - np.einsum("brp,rp->br", Xb, self.theta)
+            j = 0
+            if self.gated:
+                if self.online:
+                    steps = np.arange(n + 1, n + 1 + B)[:, None]
+                    q = np.einsum("bri,rij,brj->br", Xb, self.P, Xb) * (steps - 1) / steps
+                    tau = self.plan.thresholds(n + 1, n + 1 + B, quadratic_form=q)
+                else:
+                    tau = panel_tau[i:i + B] if offline else self.constant_tau
+                if self.tau_out is not None and self.plan is not None:
+                    tau = np.minimum(tau, self.tau_out)  # the clip wins during warm-up
+                hit = np.abs(E) >= tau * self.sigma
+                if self.tau_out is not None and not np.isfinite(E.sum()):
+                    hit |= ~np.isfinite(E)  # the robust rule raises on these
+                any_hit = hit.any(axis=1)
+                j = int(any_hit.argmax())
+                if not any_hit[j]:
+                    j = B
+            self.n += j
+            self._record_at_mark()
+            i += j
+            if j == B:
+                continue
+            self.n += 1
+            self.events += 1
+            i += 1
+            beta, x, h = E[j], Xb[j], None
+            if self.gated:
+                take = hit[j]
+                if self.tau_out is not None:
+                    beta, h = self._clip(beta, np.broadcast_to(tau, (B, R))[j], take)
+                beta = np.where(take, beta, 0.0)
+                x = np.where(take[:, None], x, 0.0)
+                self.kept += take
             else:
-                est.step(float(y), x)
-            if n in mark_set:
-                err = est.theta - theta_o
-                out_marks.append(n)
-                mses.append(float(err @ err))
-                ratios.append((n - est.kept_count) / n)
-                mults.append(est.multiply_count)
-            if n == N:
-                break
-    except SingularityError as exc:
-        raise SingularityError(f"{method} broke down at step {n}: {exc}") from exc
+                self.kept += 1
+            self.update(x, beta, h)
+            self._record_at_mark()
 
-    return _trace(cfg, replicate_seed, out_marks, mses, ratios, mults, theta_o,
-                  est.kept_count, est.theta, est.snapshot())
+    def _clip(self, e, tau, take):
+        """Robust rule on kept innovations: (score, weight), outliers clipped
+        to tau_out sigma sign(e) with weight 0 (P untouched)."""
+        finite = np.isfinite(e)
+        if not finite.all():
+            r = int(finite.argmin())
+            robust_decide(float(e[r]), self.sigma, float(tau[r]), self.tau_out)
+        bound = self.tau_out * self.sigma
+        out = take & (np.abs(e) >= bound)
+        self.clipped += out
+        return np.where(out, bound * np.copysign(1.0, e), e), np.where(out, 0.0, 1.0)
+
+    # -- results ------------------------------------------------------------
+
+    def traces(self, cfg: ExperimentConfig, seeds) -> list[TrialTrace]:
+        mse, kept, clipped = (np.array(a) for a in zip(*self._at))
+        at = np.array(self.marks)[:, None]
+        ratios = (at - kept) / at
+        p = self.theta.shape[1]
+        mults = np.broadcast_to(_multiplies(self.method, p, at, kept, clipped, self.online),
+                                kept.shape)
+        return [_trace(cfg, seed, self.marks, mse[:, r], ratios[:, r], mults[:, r],
+                       self.theta_o, self.kept[r], self.theta[r])
+                for r, seed in enumerate(seeds)]
 
 
-def _run_kaczmarz_trial(cfg: ExperimentConfig, replicate_seed: int) -> TrialTrace:
-    X, y, theta_o, _ = _source_arrays(cfg, replicate_seed)
+def _multiplies(method: str, p: int, n, kept, clipped, online: bool):
+    """Exact multiply count of n steps that kept `kept` data, `clipped` of
+    them as outliers; the per-step costs are in each estimator's docstring."""
+    if method == "samle1":
+        return n * (3 * p + 1) - kept * p
+    if method == "samle2":
+        return n * (2 * p * p + 4 * p + 2) - kept * p
+    if method == "lms":
+        return n * (2 * p + 1)
+    if method == "rls":
+        return n * (2 * p * p + 4 * p)
+    if method in ("ac-lms", "rac-lms"):
+        return n * p + kept * (p + 1)
+    # ac-rls, rac-rls: an online plan reads x'Px every step, and a kept
+    # step then reuses P x.
+    every = p + online * p * (p + 1)
+    nominal = 2 * p * p + 3 * p - online * p * (p + 1)
+    outlier = p + (not online) * p * p
+    return n * every + (kept - clipped) * nominal + clipped * outlier
+
+
+def _run_kaczmarz_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
+    X, y, theta_o, _ = _source_arrays(cfg, replicate_seed, data)
     D, p = X.shape
     marks = _schedule_for(cfg, D)
     mark_set = set(marks)
@@ -555,8 +759,8 @@ def _run_kaczmarz_trial(cfg: ExperimentConfig, replicate_seed: int) -> TrialTrac
                   theta_o, D, final)
 
 
-def _run_batch_trial(cfg: ExperimentConfig, replicate_seed: int) -> TrialTrace:
-    X, y, theta_o, _ = _source_arrays(cfg, replicate_seed)
+def _run_batch_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
+    X, y, theta_o, _ = _source_arrays(cfg, replicate_seed, data)
     D, p = X.shape
     d = max(p, int(round(cfg.ratio * D)))
     if cfg.method == "srht":
@@ -624,14 +828,15 @@ class MonteCarloResult:
 def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     """Run all replicates of cfg and aggregate their traces.
 
-    Replicate r runs on derive(cfg.seed, r).  With cfg.threads > 1 the
-    replicates run in a thread pool; aggregation order is by replicate
-    index either way, so results are identical.
+    Replicate r runs on derive(cfg.seed, r).  Streaming methods advance
+    all replicates in lockstep, as one (R, p) state updated by one
+    vectorized step per datum; each replicate's trace is the one
+    run_trial gives it alone.  Batch methods and kaczmarz run replicate
+    by replicate.  Aggregation is by replicate index.
     """
     seeds = [derive(cfg.seed, r) for r in range(cfg.replicates)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            traces = list(pool.map(lambda s: run_trial(cfg, s), seeds))
+    if cfg.method in STREAM_METHODS:
+        traces = _run_lockstep(cfg, seeds)
     else:
         traces = [run_trial(cfg, s) for s in seeds]
 

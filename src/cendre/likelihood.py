@@ -15,15 +15,16 @@ beta is oriented as the DESCENT scalar: theta + mu*beta*x reduces the
 loss, and for an uncensored datum it is exactly the LMS correction
 (y - x'theta)/sigma^2.
 
-Scalar hot paths use the math module; the tail regime (interval bounds
-sharing a sign beyond z ~ 6) switches to scaled Mills ratios via erfcx
-so the beta and h ratios stay finite out to arbitrarily distant
-intervals, approaching the clipping limit beta -> z_near/sigma.
+beta and h of censored terms come from one array routine, used one term
+at a time by the scalar functions and for many at once by
+:func:`score_info`; the tail regime (interval bounds sharing a sign
+beyond z ~ 6) switches to scaled Mills ratios via erfcx so the beta and
+h ratios stay finite out to arbitrarily distant intervals, approaching
+the clipping limit beta -> z_near/sigma.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "score_scalar",
     "info_scalar",
     "evaluate",
+    "score_info",
 ]
 
 _INV_SQRT_2PI = 0.3989422804014327
@@ -89,19 +91,6 @@ class ScoreInfo:
     info: float
 
 
-def _phi(z):
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
-def _q(z):
-    return 0.5 * math.erfc(z / _SQRT_2)
-
-
-def _mills(z):
-    """Mills ratio Q(z)/phi(z), stable for large positive z."""
-    return _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)
-
-
 def interval_bounds(term: CensoredTerm, theta) -> tuple[float, float]:
     """Standardized censoring-interval endpoints (z_l, z_u) at theta.
 
@@ -113,33 +102,80 @@ def interval_bounds(term: CensoredTerm, theta) -> tuple[float, float]:
     return (-term.tau - shift, term.tau - shift)
 
 
-def _censored_scalars(z_l: float, z_u: float, sigma: float) -> tuple[float, float]:
-    """(beta, h) for a censored term with standardized bounds (z_l, z_u).
+def _censored_scalars(shift, tau, sigma):
+    """(beta, h) arrays for censored terms whose prediction sits shift =
+    (x'theta - y_hat)/sigma away from the anchor.
 
-    Central intervals use phi/Q directly.  Once both bounds sit in one
-    tail, everything is rescaled by phi(z_near): the probability becomes
-    a difference of Mills ratios and the ratios stay well conditioned.
+    The interval (z_l, z_u) = (-tau - shift, tau - shift) is mirrored
+    into the right tail, [|shift| - tau, |shift| + tau]; beta is odd
+    under the reflection, h is even.  Central intervals use phi/Q
+    directly.  Once both bounds sit in one tail, everything is rescaled
+    by phi(z_near): the probability becomes a difference of Mills ratios
+    and the ratios stay well conditioned.
     """
-    sign = 1.0
-    if z_l + z_u < 0.0:
-        # Mirror into the right tail; beta is odd under the reflection,
-        # h is even.
-        z_l, z_u = -z_u, -z_l
-        sign = -1.0
-    if z_l > _TAIL_SWITCH:
+    shift = np.asarray(shift, dtype=np.float64)
+    a = np.abs(shift)
+    z_l = a - tau
+    z_u = a + tau
+    tail = z_l > _TAIL_SWITCH
+    if not tail.any():
+        ratio, curve = _central_ratios(z_l, z_u)
+    else:
         # r = phi(z_u)/phi(z_l) decays like exp(-2*tau*z_l); underflow to
         # zero is harmless and yields the one-sided clipping limits
         # beta -> 1/(sigma*mills(z_l)) ~ z_l/sigma.
-        r = math.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
+        r = np.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
         scaled_p = _mills(z_l) - r * _mills(z_u)  # P / phi(z_l)
         ratio = (1.0 - r) / scaled_p  # (phi(z_l)-phi(z_u))/P
         curve = (z_u * r - z_l) / scaled_p  # (z_u phi(z_u)-z_l phi(z_l))/P
-    else:
-        p = _q(z_l) - _q(z_u)
-        ratio = (_phi(z_l) - _phi(z_u)) / p
-        curve = (z_u * _phi(z_u) - z_l * _phi(z_l)) / p
-    beta = sign * ratio / sigma
+        if not tail.all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                central = _central_ratios(z_l, z_u)
+            ratio = np.where(tail, ratio, central[0])
+            curve = np.where(tail, curve, central[1])
+    beta = np.copysign(ratio, -shift) / sigma
     info = (ratio * ratio + curve) / (sigma * sigma)
+    return beta, info
+
+
+def _central_ratios(z_l, z_u):
+    """(phi(z_l)-phi(z_u))/P and (z_u phi(z_u)-z_l phi(z_l))/P, P = Q(z_l)-Q(z_u)."""
+    phi_l = _INV_SQRT_2PI * np.exp(-0.5 * z_l * z_l)
+    phi_u = _INV_SQRT_2PI * np.exp(-0.5 * z_u * z_u)
+    p = 0.5 * special.erfc(z_l / _SQRT_2) - 0.5 * special.erfc(z_u / _SQRT_2)
+    return (phi_l - phi_u) / p, (z_u * phi_u - z_l * phi_l) / p
+
+
+def _mills(z):
+    """Mills ratio Q(z)/phi(z), stable for large positive z."""
+    return _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)
+
+
+def _censored_term_scalars(term: CensoredTerm, theta) -> tuple[float, float]:
+    shift = (float(term.x @ theta) - term.y_or_anchor) / term.sigma
+    beta, info = _censored_scalars(shift, term.tau, term.sigma)
+    return float(beta), float(info)
+
+
+def score_info(censored, y_or_anchor, prediction, tau, sigma: float):
+    """beta and h of many terms at once, without the loss.
+
+    The vector form of :func:`evaluate`: censored flags, observed values
+    or anchors, predictions x'theta and thresholds tau are arrays of one
+    shape (tau may be a scalar); sigma is shared.  Returns (beta, h)
+    arrays of that shape.
+    """
+    censored = np.asarray(censored, dtype=bool)
+    inv_var = 1.0 / (sigma * sigma)
+    resid = np.asarray(y_or_anchor, dtype=np.float64) - prediction
+    beta = resid * inv_var
+    info = np.full_like(beta, inv_var)
+    if censored.any():
+        tau = np.asarray(tau, dtype=np.float64)
+        tau_c = tau[censored] if tau.ndim else tau
+        # -resid is x'theta - y_hat exactly.
+        beta[censored], info[censored] = _censored_scalars(
+            -resid[censored] / sigma, tau_c, sigma)
     return beta, info
 
 
@@ -155,8 +191,7 @@ def loss(term: CensoredTerm, theta) -> float:
 def score_scalar(term: CensoredTerm, theta) -> float:
     """Descent score beta: the term's negative gradient is beta * x."""
     if term.censored:
-        z_l, z_u = interval_bounds(term, theta)
-        return _censored_scalars(z_l, z_u, term.sigma)[0]
+        return _censored_term_scalars(term, theta)[0]
     return (term.y_or_anchor - float(term.x @ theta)) / (term.sigma * term.sigma)
 
 
@@ -168,8 +203,7 @@ def info_scalar(term: CensoredTerm, theta) -> float:
     curvature than an exact observation).
     """
     if term.censored:
-        z_l, z_u = interval_bounds(term, theta)
-        return _censored_scalars(z_l, z_u, term.sigma)[1]
+        return _censored_term_scalars(term, theta)[1]
     return 1.0 / (term.sigma * term.sigma)
 
 
@@ -180,5 +214,5 @@ def evaluate(term: CensoredTerm, theta) -> ScoreInfo:
         resid = term.y_or_anchor - float(term.x @ theta)
         return ScoreInfo(0.5 * resid * resid * inv_var, resid * inv_var, inv_var)
     z_l, z_u = interval_bounds(term, theta)
-    beta, info = _censored_scalars(z_l, z_u, term.sigma)
+    beta, info = _censored_term_scalars(term, theta)
     return ScoreInfo(-interval_log_prob(z_l, z_u), beta, info)

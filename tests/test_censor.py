@@ -316,6 +316,23 @@ def test_plan_ac_offline_schedule_tuple():
     assert plan.pi_at(2) == 0.9
 
 
+def test_plan_vector_path_matches_schedule_function():
+    # A per-datum plan sums its expected kept mass once; every window of
+    # its vector path, and threshold() and schedule() through it, equal
+    # the free schedule function bit for bit.
+    pis = [float(v) for v in substream(3).uniform(0.0, 0.95, 2000)]
+    want = np.array(ac_threshold_schedule(7, pis))
+    plan = ThresholdPlan.ac_offline(7, pis)
+    np.testing.assert_array_equal(plan.schedule(2000), want)
+    np.testing.assert_array_equal(plan.thresholds(500, 1500), want[499:1499])
+    assert [plan.threshold(n) for n in (1, 2, 1999, 2000)] == list(want[[0, 1, 1998, 1999]])
+    with pytest.raises(IndexError):
+        plan.threshold(2001)
+    scalar = ThresholdPlan.ac_offline(7, 0.8)
+    np.testing.assert_array_equal(scalar.thresholds(1, 50),
+                                  [0.0] + [ac_threshold_offline(7, n, 0.8) for n in range(2, 50)])
+
+
 def test_plan_schedule_materialization():
     plan = ThresholdPlan.ac_offline(10, 0.6)
     sched = plan.schedule(50)

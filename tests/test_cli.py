@@ -274,6 +274,18 @@ def test_bench_report(tmp_path):
     assert ac["multiplies"] < full["multiplies"]
 
 
+def test_bench_labels_robust_runs(tmp_path, capsys):
+    doc = _basic_doc(method="rac-rls", stream={"p": 4, "D": 256, "sigma": 1.0},
+                     censor={"kind": "constant", "tau": 1.0}, estimator={"tau_out": 3.0})
+    cfg = _run_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("rac-rls kept ")
+    report = json.loads((out / "bench.json").read_text())
+    assert sorted(report["methods"]) == ["rac-rls", "rls", "srht", "uniform"]
+
+
 def test_bench_rejects_wrong_method(tmp_path, capsys):
     cfg = _run_config(tmp_path, _basic_doc(method="rls", censor=None))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

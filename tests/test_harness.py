@@ -55,7 +55,6 @@ def test_config_field_validation():
         dict(method="sgd"),
         dict(seed=-1),
         dict(replicates=0),
-        dict(threads=0),
         dict(stream=None),                                    # no source at all
         dict(dataset_path="x.csv"),                           # two sources
         dict(passes=0),
@@ -86,6 +85,9 @@ def test_config_field_validation():
     for over in cases:
         with pytest.raises(ConfigError):
             _cfg(**over)
+    # Replicates run in lockstep; there is no thread pool to size.
+    with pytest.raises(ConfigError, match="unknown config field 'threads'"):
+        ExperimentConfig.from_dict(_doc(threads=1))
 
 
 def test_config_record_at_normalized():
@@ -327,15 +329,16 @@ def test_multipass_dataset(tmp_path):
 # Monte Carlo aggregation
 # ---------------------------------------------------------------------
 
-def test_monte_carlo_replicates_and_threads():
+def test_monte_carlo_replicates():
     cfg = _cfg(replicates=6)
-    serial = monte_carlo(cfg)
-    threaded = monte_carlo(_cfg(replicates=6, threads=4))
-    assert len(serial.traces) == 6
-    np.testing.assert_array_equal(serial.mse_mean, threaded.mse_mean)
-    np.testing.assert_array_equal(serial.multiplies_mean, threaded.multiplies_mean)
+    res = monte_carlo(cfg)
+    assert len(res.traces) == 6
     # replicate r runs on the derived child seed
-    assert serial.traces[2].seed == derive(cfg.seed, 2)
+    assert [t.seed for t in res.traces] == [derive(cfg.seed, r) for r in range(6)]
+    # the aggregates are the replicate means of the traces
+    np.testing.assert_array_equal(res.mse_mean, np.mean([t.mse for t in res.traces], axis=0))
+    np.testing.assert_array_equal(res.multiplies_mean,
+                                  np.mean([t.multiplies for t in res.traces], axis=0))
 
 
 def test_monte_carlo_shares_truth_across_replicates():

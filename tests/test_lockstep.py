@@ -1,0 +1,221 @@
+"""Lockstep replicates against the single-stream estimator classes.
+
+The harness advances all replicates of a streaming method as one state.
+The scalar classes in ``cendre.estimators`` stay the reference: each
+replicate is replayed here datum by datum through the class the method
+names, and the lockstep traces must match its error curve and final
+estimate to 1e-10 and its kept counts and multiply ledger exactly.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from cendre.censor import ThresholdPlan, nac_decide
+from cendre.datagen import StreamSpec, materialize
+from cendre.errors import DomainError, SingularityError
+from cendre.estimators import (ACLMS, ACRLS, LMS, RLS, FirstOrderCensoredMLE,
+                               RobustACLMS, RobustACRLS, SecondOrderCensoredMLE,
+                               StepSize, preliminary_fit)
+from cendre.harness import ExperimentConfig, geometric_schedule, monte_carlo, run_trial
+from cendre.ingest import load_csv, surrogate_truth
+from cendre.numkit import derive, substream
+
+R = 3
+TOL = 1e-10
+
+
+def _scalar_estimator(cfg, p, sigma, prelim):
+    method, censor = cfg.method, cfg.censor or {}
+    kind = censor.get("kind")
+    plan = None
+    if kind == "ac-online":
+        plan = ThresholdPlan.ac_online(censor["target_pi"])
+    elif kind == "ac-offline":
+        plan = ThresholdPlan.ac_offline(p, censor["target_pi"])
+    mu = cfg.mu
+    if method == "samle1":
+        return FirstOrderCensoredMLE(prelim, sigma, mu or StepSize.diminishing(sigma * sigma))
+    if method == "samle2":
+        return SecondOrderCensoredMLE(prelim, sigma)
+    if method == "lms":
+        return LMS(p, mu)
+    if method == "rls":
+        return RLS(p, epsilon=cfg.epsilon)
+    if method == "ac-lms":
+        return ACLMS(p, mu, sigma, plan=plan)
+    if method == "rac-lms":
+        return RobustACLMS(p, mu, sigma, cfg.tau_out, plan=plan)
+    if method == "ac-rls":
+        return ACRLS(p, sigma, epsilon=cfg.epsilon, plan=plan)
+    return RobustACRLS(p, sigma, cfg.tau_out, epsilon=cfg.epsilon, plan=plan)
+
+
+def _nac_plan(cfg, prelim):
+    censor = cfg.censor
+    if censor["kind"] == "constant":
+        return ThresholdPlan.constant(censor["tau"])
+    if censor["kind"] == "nac-exact":
+        return ThresholdPlan.nac_exact(prelim.gram_inv, censor["target_pi"])
+    return ThresholdPlan.nac_clt(prelim.theta.size, prelim.K, censor["target_pi"])
+
+
+def scalar_trial(cfg, X, y, theta_o, sigma):
+    """Replay one replicate datum by datum; return its trace as a dict."""
+    p = X.shape[1]
+    prelim = None
+    if cfg.method in ("samle1", "samle2"):
+        prelim = preliminary_fit(zip(y[:cfg.K], X[:cfg.K]))
+        X, y = X[cfg.K:], y[cfg.K:]
+    est = _scalar_estimator(cfg, p, sigma, prelim)
+    nac_plan = _nac_plan(cfg, prelim) if prelim is not None else None
+    fixed = cfg.censor["tau"] if cfg.censor and cfg.censor["kind"] == "constant" else None
+    N = len(y)
+    marks = set(cfg.record_at or geometric_schedule(N))
+    out = {"n": [], "mse": [], "ratio": [], "mult": []}
+    for n in range(1, N + 1):
+        x, y_n = X[n - 1], float(y[n - 1])
+        try:
+            if nac_plan is not None:
+                tau = nac_plan.threshold(n, x=x)
+                est.step(nac_decide(y_n, float(x @ prelim.theta), sigma, tau), x, tau)
+            elif cfg.censor is not None:
+                est.step(y_n, x, fixed)
+            else:
+                est.step(y_n, x)
+        except SingularityError as exc:
+            raise SingularityError(f"{cfg.method} broke down at step {n}: {exc}") from exc
+        if n in marks:
+            err = est.theta - theta_o
+            out["n"].append(n)
+            out["mse"].append(float(err @ err))
+            out["ratio"].append((n - est.kept_count) / n)
+            out["mult"].append(est.multiply_count)
+    out["kept"] = est.kept_count
+    out["theta"] = est.theta.copy()
+    return out
+
+
+def assert_matches(trace, want):
+    np.testing.assert_array_equal(trace.n, want["n"])
+    np.testing.assert_allclose(trace.mse, want["mse"], rtol=TOL, atol=TOL)
+    np.testing.assert_array_equal(trace.censor_ratio, want["ratio"])
+    np.testing.assert_array_equal(trace.multiplies, want["mult"])
+    assert trace.kept_total == want["kept"]
+    np.testing.assert_allclose(trace.final_theta, want["theta"], rtol=TOL, atol=TOL)
+
+
+def _stream_cfg(method, censor=None, **over):
+    stream = StreamSpec(p=4, D=700, sigma=1.0, seed=5, outlier_prob=0.05, outlier_var=25.0)
+    if method in ("lms", "ac-lms", "rac-lms"):
+        over.setdefault("mu", StepSize.diminishing(0.5))
+    if method in ("rac-lms", "rac-rls"):
+        over.setdefault("tau_out", 2.5)
+    if method in ("samle1", "samle2"):
+        over.setdefault("K", 40)
+    return ExperimentConfig(method=method, seed=31, replicates=R, stream=stream,
+                            censor=censor, **over)
+
+
+_CONSTANT = {"kind": "constant", "tau": 1.0}
+CASES = [
+    ("samle1", _CONSTANT), ("samle1", {"kind": "nac-exact", "target_pi": 0.6}),
+    ("samle1", {"kind": "nac-clt", "target_pi": 0.6}),
+    ("samle2", _CONSTANT), ("samle2", {"kind": "nac-exact", "target_pi": 0.6}),
+    ("samle2", {"kind": "nac-clt", "target_pi": 0.8}),
+    ("lms", None), ("rls", None),
+    ("ac-lms", _CONSTANT), ("ac-lms", {"kind": "ac-offline", "target_pi": 0.7}),
+    ("rac-lms", _CONSTANT), ("rac-lms", {"kind": "ac-offline", "target_pi": 0.7}),
+    ("ac-rls", _CONSTANT), ("ac-rls", {"kind": "ac-online", "target_pi": 0.6}),
+    ("ac-rls", {"kind": "ac-offline", "target_pi": 0.9}),
+    ("rac-rls", _CONSTANT), ("rac-rls", {"kind": "ac-online", "target_pi": 0.6}),
+    ("rac-rls", {"kind": "ac-offline", "target_pi": 0.7}),
+]
+
+
+def _ids(case):
+    method, censor = case
+    return method if censor is None else f"{method}-{censor['kind']}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_ids(c) for c in CASES])
+def test_lockstep_matches_scalar_classes(case):
+    cfg = _stream_cfg(*case)
+    res = monte_carlo(cfg)
+    spec = cfg.stream.pinned()
+    for r, trace in enumerate(res.traces):
+        seed = derive(cfg.seed, r)
+        assert trace.seed == seed
+        X, y = materialize(spec.with_seed(seed))
+        assert_matches(trace, scalar_trial(cfg, X, y, spec.theta, spec.sigma))
+        # The replicate alone gives the same trace as in company.
+        alone = run_trial(cfg, seed)
+        for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            np.testing.assert_array_equal(getattr(alone, field), getattr(trace, field))
+
+
+@pytest.mark.parametrize("method", ["ac-rls", "rls", "samle2", "rac-lms"])
+def test_lockstep_dataset_two_passes(tmp_path, method):
+    rng = substream(404)
+    X = rng.standard_normal((300, 3))
+    y = X @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(300)
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,c,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(X, y)))
+    doc = {"schema": 1, "method": method, "seed": 2, "replicates": R, "passes": 2,
+           "dataset": {"path": str(path), "target_column": "y"}}
+    if method == "samle2":
+        doc.update(K=20, censor={"kind": "nac-exact", "target_pi": 0.5})
+    elif method == "rac-lms":
+        doc.update(censor={"kind": "ac-offline", "target_pi": 0.5},
+                   estimator={"mu": {"policy": "constant", "value": 0.02}, "tau_out": 3.0})
+    elif method == "ac-rls":
+        doc.update(censor={"kind": "ac-offline", "target_pi": 0.5})
+    cfg = ExperimentConfig.from_dict(doc)
+    res = monte_carlo(cfg)
+    ds = load_csv(path, "y")
+    theta_o, sigma = surrogate_truth(ds)
+    want = scalar_trial(cfg, np.tile(ds.design, (2, 1)), np.tile(ds.response, 2),
+                        theta_o, sigma)
+    assert res.traces[0].steps == 600 - (20 if method == "samle2" else 0)
+    for trace in res.traces:
+        assert_matches(trace, want)
+
+
+def test_lockstep_breakdown_names_the_step():
+    # A ridge of -1 starts P at -I.  The first regressor leaves P[0, 0]
+    # at -1, so the second, e_1, makes the denominator 1 + x'Px exactly 0.
+    cfg = ExperimentConfig(method="rls", seed=1, epsilon=-1.0,
+                           stream=StreamSpec(p=2, D=4, sigma=1.0, seed=1))
+    X = np.array([[0.0, 0.5], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
+    y = np.ones(4)
+    with pytest.raises(SingularityError) as scalar:
+        scalar_trial(cfg, X, y, cfg.stream.pinned().theta, 1.0)
+    with pytest.raises(SingularityError) as lockstep:
+        run_trial(cfg, 7, data=(X, y))
+    assert str(lockstep.value) == str(scalar.value) == \
+        "rls broke down at step 2: update denominator vanished"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", CASES, ids=[_ids(c) for c in CASES])
+def test_lockstep_non_finite_input_behaves_as_scalar(case, bad):
+    cfg = _stream_cfg(*case)
+    spec = cfg.stream.pinned()
+    X, y = materialize(spec.with_seed(9))
+    y = y.copy()
+    y[(cfg.K or 0) + 57] = bad
+    try:
+        want = scalar_trial(cfg, X, y, spec.theta, spec.sigma)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            run_trial(cfg, 9, data=(X, y))
+        return
+    trace = run_trial(cfg, 9, data=(X, y))
+    np.testing.assert_array_equal(trace.multiplies, want["mult"])
+    np.testing.assert_array_equal(trace.censor_ratio, want["ratio"])
+    np.testing.assert_allclose(trace.mse, want["mse"], rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(trace.final_theta, want["theta"], rtol=TOL, atol=TOL)
