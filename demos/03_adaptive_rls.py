@@ -17,7 +17,7 @@ censoring rate:
 
 import numpy as np
 
-from cendre import ACRLS, RLS, StreamSpec, ThresholdPlan, gauss_q_inv, generate
+from cendre import RLS, StreamSpec, ThresholdPlan, gauss_q_inv, generate
 
 
 def run(est, spec, theta_o, fixed_tau=None):
@@ -43,12 +43,12 @@ def main():
         theta_o = spec.resolved_theta()
         rows["rls"].append(run(RLS(p), spec, theta_o))
         rows["constant"].append(
-            run(ACRLS(p, sigma), spec, theta_o, fixed_tau=tau_const))
+            run(RLS(p, sigma=sigma), spec, theta_o, fixed_tau=tau_const))
         rows["ac-offline"].append(
-            run(ACRLS(p, sigma, plan=ThresholdPlan.ac_offline(p, pi_star)),
+            run(RLS(p, sigma=sigma, plan=ThresholdPlan.ac_offline(p, pi_star)),
                 spec, theta_o))
         rows["ac-online"].append(
-            run(ACRLS(p, sigma, plan=ThresholdPlan.ac_online(pi_star)),
+            run(RLS(p, sigma=sigma, plan=ThresholdPlan.ac_online(pi_star)),
                 spec, theta_o))
 
     print(f"p={p}, D={D}, target censoring {pi_star:.0%}, {reps} runs")

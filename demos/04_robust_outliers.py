@@ -10,7 +10,7 @@ bounded step, and they never touch the step matrix.
 
 import numpy as np
 
-from cendre import ACRLS, RobustACRLS, StreamSpec, ThresholdPlan, generate
+from cendre import RLS, StreamSpec, ThresholdPlan, generate
 
 
 def final_rse(est, spec, theta_o):
@@ -36,11 +36,11 @@ def main():
             ).pinned()
             theta_o = spec.resolved_theta()
             plain.append(final_rse(
-                ACRLS(p, sigma, plan=ThresholdPlan.ac_offline(p, pi_star)),
+                RLS(p, sigma=sigma, plan=ThresholdPlan.ac_offline(p, pi_star)),
                 spec, theta_o))
             robust.append(final_rse(
-                RobustACRLS(p, sigma, tau_out=3.0,
-                            plan=ThresholdPlan.ac_offline(p, pi_star)),
+                RLS(p, sigma=sigma, tau_out=3.0,
+                    plan=ThresholdPlan.ac_offline(p, pi_star)),
                 spec, theta_o))
         gain = np.mean(plain) / np.mean(robust)
         print(f"{keep:>11.0%} {np.mean(plain):>12.3e} {np.mean(robust):>12.3e} {gain:>11.1f}x")

@@ -15,7 +15,7 @@ same and the three reductions are nearly interchangeable.
 import numpy as np
 
 from cendre import (
-    ACRLS,
+    RLS,
     StreamSpec,
     ThresholdPlan,
     generate,
@@ -36,7 +36,7 @@ def one_design(design, df, p, D, sigma, keep, reps, seed0):
         theta_o = spec.resolved_theta()
         denom = float(np.sum(theta_o**2))
 
-        est = ACRLS(p, sigma, plan=ThresholdPlan.ac_offline(p, pi_star))
+        est = RLS(p, sigma=sigma, plan=ThresholdPlan.ac_offline(p, pi_star))
         for y, x in generate(spec):
             est.step(y, x)
         rse["ac-rls"].append(float(np.sum((est.theta - theta_o) ** 2)) / denom)

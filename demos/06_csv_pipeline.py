@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from cendre import (
-    ACRLS,
+    RLS,
     Dataset,
     ExperimentConfig,
     StreamSpec,
@@ -53,7 +53,7 @@ def main():
     print()
 
     # Stream the rows through an adaptive-censoring estimator.
-    est = ACRLS(loaded.p, sigma=sigma_hat)
+    est = RLS(loaded.p, sigma=sigma_hat)
     tau = 1.0
     for xi, yi in zip(loaded.design, loaded.response):
         est.step(float(yi), xi, tau)

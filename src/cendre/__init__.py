@@ -1,10 +1,11 @@
 """Streaming regression under censoring.
 
-Online maximum-likelihood estimation from interval-censored data,
-adaptive censor-and-discard LMS/RLS with robust variants, threshold
-planners that hit a target discard rate, randomized sketching
-baselines, synthetic and CSV data pipelines, and a reproducible Monte
-Carlo harness with a CLI front end.
+Online maximum-likelihood estimation from interval-censored data, one
+censoring gate (with an optional outlier clip) in front of first-order
+LMS and second-order RLS recursions, threshold planners that hit a
+target discard rate, randomized sketching baselines, synthetic and CSV
+data pipelines, and a reproducible Monte Carlo harness with a CLI front
+end.
 """
 
 from .censor import (CensorDecision, ThresholdPlan, ac_decide,
@@ -15,8 +16,7 @@ from .censor import (CensorDecision, ThresholdPlan, ac_decide,
 from .datagen import StreamSpec, full_lse_mse, generate, materialize, toeplitz_cov
 from .errors import (CendreError, ConfigError, DomainError, SingularityError,
                      UsageError)
-from .estimators import (ACLMS, ACRLS, LMS, RLS, FirstOrderCensoredMLE,
-                         PreliminaryFit, RobustACLMS, RobustACRLS,
+from .estimators import (LMS, RLS, FirstOrderCensoredMLE, PreliminaryFit,
                          SecondOrderCensoredMLE, StepSize, batch_lse,
                          from_snapshot, kaczmarz_run, preliminary_fit, regret)
 from .harness import (ExperimentConfig, MonteCarloResult, TrialTrace,
@@ -28,8 +28,7 @@ from .ingest import (Dataset, load_csv, sidecar_path, surrogate_truth, write_csv
 from .likelihood import (CensoredTerm, ScoreInfo, evaluate, info_scalar,
                          interval_bounds, loss, score_info, score_scalar)
 from .numkit import (cholesky_solve, derive, fwht_in_place, gauss_pdf, gauss_q,
-                     gauss_q_inv, interval_log_prob, rank_one_inverse_update,
-                     substream)
+                     gauss_q_inv, interval_log_prob, substream)
 from .sketch import ReducedProblem, solve_reduced, srht_reduce, uniform_reduce
 
 __version__ = "0.1.0"
@@ -40,7 +39,7 @@ __all__ = [
     "CendreError", "ConfigError", "DomainError", "SingularityError", "UsageError",
     # numkit
     "gauss_pdf", "gauss_q", "gauss_q_inv", "interval_log_prob",
-    "rank_one_inverse_update", "fwht_in_place", "cholesky_solve",
+    "fwht_in_place", "cholesky_solve",
     "substream", "derive",
     # likelihood
     "CensoredTerm", "ScoreInfo", "interval_bounds", "loss", "score_scalar",
@@ -52,8 +51,8 @@ __all__ = [
     "ac_threshold_offline", "ac_threshold_schedule",
     # estimators
     "StepSize", "PreliminaryFit", "preliminary_fit", "FirstOrderCensoredMLE",
-    "SecondOrderCensoredMLE", "LMS", "ACLMS", "RLS", "ACRLS", "RobustACLMS",
-    "RobustACRLS", "kaczmarz_run", "batch_lse", "regret", "from_snapshot",
+    "SecondOrderCensoredMLE", "LMS", "RLS", "kaczmarz_run", "batch_lse",
+    "regret", "from_snapshot",
     # sketch
     "ReducedProblem", "srht_reduce", "uniform_reduce", "solve_reduced",
     # datagen

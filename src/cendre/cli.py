@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .datagen import StreamSpec, materialize, toeplitz_cov
 from .errors import CendreError, ConfigError, SingularityError
-from .harness import (ALL_METHODS, AC_METHODS, BATCH_METHODS, ExperimentConfig,
-                      monte_carlo, run_trial, write_results_csv,
-                      write_summary_json)
+from .harness import (ALL_METHODS, AC_METHODS, BATCH_METHODS, RESULT_COLUMNS,
+                      ExperimentConfig, monte_carlo, result_rows, run_trial,
+                      write_results_csv, write_summary_json)
 from .numkit.rng import derive
 
 __all__ = ["main", "build_parser"]
@@ -255,21 +255,11 @@ def _cmd_sweep(args) -> int:
     summary: dict = {"axis": args.axis, "points": {}}
     with open(merged_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "method", "seed", "n", "mse", "rse",
-                         "censor_ratio", "multiplies"])
+        writer.writerow(["axis", "value", *RESULT_COLUMNS])
         for label, point_cfg in points:
             result = monte_carlo(point_cfg)
             summary["points"][label] = result.summary_doc()
-            rows = []
-            for t in result.traces:
-                for i in range(t.n.size):
-                    rows.append((t.method, int(t.seed), int(t.n[i]),
-                                 float(t.mse[i]), float(t.rse[i]),
-                                 float(t.censor_ratio[i]), int(t.multiplies[i])))
-            rows.sort(key=lambda r: (r[0], r[1], r[2]))
-            for method, seed, n, mse, rse, ratio, mult in rows:
-                writer.writerow([args.axis, label, method, seed, n, repr(mse),
-                                 repr(rse), repr(ratio), mult])
+            writer.writerows([args.axis, label, *row] for row in result_rows(result.traces))
     json_path = args.out / "sweep.json"
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -1,24 +1,34 @@
 """Online estimators for streaming regression under censoring.
 
-Two families live here.
+The paper's one idea is a censoring gate on the innovation in front of a
+recursion.  Here that is one gate and two recursions:
 
-Likelihood-driven (non-adaptive censoring): a preliminary least-squares
-fit anchors the censor, and every datum -- kept or censored -- feeds a
-convex likelihood term.  ``FirstOrderCensoredMLE`` walks the stochastic
-gradient; ``SecondOrderCensoredMLE`` scales it by the inverse of the
-accumulated per-datum information.
+- ``LMS``, the first-order recursion: theta += mu_n beta x.
+- ``RLS``, the second-order one: a Sherman-Morrison step with weight h,
+  P <- (P^-1 + h x x')^-1 in place, then theta += beta P x.
 
-Censor-and-discard (adaptive censoring): LMS and RLS together with
-their censoring variants, which skip the update entirely for small
-innovations, plus robust variants that clip data flagged as outliers.
+Both read the same gate.  With no sigma it is open: every datum is kept
+with beta = e and h = 1, the classical LMS and RLS.  With sigma, a datum
+is kept when its innovation |e| >= tau sigma, with tau given per step or
+read from a ``ThresholdPlan`` (adaptive censoring); a censored datum moves
+nothing.  With tau_out as well, an innovation at or beyond tau_out sigma
+is an outlier: its score is clipped to tau_out sigma sign(e) and its
+weight is h = 0, so the step matrix stays as it is.
 
-Second-order recursions never re-invert.  Internally they carry the
-unnormalized inverse U_n = (U_0^{-1} + sum_i w_i x_i x_i')^{-1},
-updated by one Sherman-Morrison correction per contributing datum; the
-conventionally n-scaled step matrix is exposed as the ``C`` property
-(C_n = n U_n, C_0 = U_0).  For the RLS family U_0 = (1/eps) I, which
-makes the trajectory the exact ridge minimizer with penalty eps over
-the kept rows at every step.
+Likelihood-driven estimators (non-adaptive censoring) feed the same two
+recursions.  A preliminary least-squares fit anchors the censor, and
+every datum -- kept or censored -- becomes a convex likelihood term whose
+score beta and curvature h drive the update: ``FirstOrderCensoredMLE``
+walks the stochastic gradient, and ``SecondOrderCensoredMLE`` scales it
+by the inverse of the accumulated per-datum information.
+
+Second-order recursions never re-invert.  They carry the unnormalized
+inverse P_n = (P_0^{-1} + sum_i h_i x_i x_i')^{-1}, updated by one
+Sherman-Morrison correction per contributing datum; the conventionally
+n-scaled step matrix is the ``C`` property (C_n = n P_n, and C_0 is the
+prior block P_0^{-1}).  For RLS P_0 = (1/eps) I, which makes the
+trajectory the exact ridge minimizer with penalty eps over the kept rows
+at every step; ``default_ridge`` sets eps when none is given.
 
 Every estimator counts scalar multiplies in its update path (adds and
 comparisons are free; divisions are restated as reciprocal-multiplies
@@ -27,6 +37,12 @@ as tau*sigma or a constant step size are configuration: a streaming
 implementation computes them once, so they are not charged per step.
 The per-step costs are exact and asserted in the test suite; see each
 class docstring.
+
+``snapshot()`` writes an estimator's state as one JSON document: its
+``kind``, its scalar attributes as they are, its step-size policy as
+{"policy", "value"}, and its arrays as nested lists.  ``from_snapshot``
+reads that document back.  A threshold plan is configuration, not state,
+and is not saved; a restored gated estimator is given tau at each step.
 """
 
 from __future__ import annotations
@@ -49,11 +65,8 @@ __all__ = [
     "FirstOrderCensoredMLE",
     "SecondOrderCensoredMLE",
     "LMS",
-    "ACLMS",
     "RLS",
-    "ACRLS",
-    "RobustACLMS",
-    "RobustACRLS",
+    "default_ridge",
     "kaczmarz_run",
     "batch_lse",
     "regret",
@@ -132,12 +145,238 @@ def batch_lse(X, y) -> np.ndarray:
     return cholesky_solve(X.T @ X, X.T @ y)
 
 
+def default_ridge(x, plan: ThresholdPlan | None, tau_out: float | None):
+    """The ridge eps of an RLS gated by (plan, tau_out) when none is given,
+    from the first regressor x: (p,), or (R, p) with one row per replicate.
+
+    eps is a fraction of ||x||^2 / p, one average coordinate's energy:
+    1e-2 of it, a faint prior that leaves the trajectory near-LS from the
+    start, unless the outlier clip or an online plan reads the step
+    matrix.  Then it is all of it, one datum's worth of prior information:
+    a near-flat prior would destabilize the clipped update, or keep tau
+    huge, censor everything and never let the step matrix contract.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    reads_P = tau_out is not None or (plan is not None and plan.needs_quadratic_form)
+    eps = (1.0 if reads_P else 1e-2) * np.einsum("...i,...i->...", x, x) / x.shape[-1]
+    if np.any(eps <= 0.0):
+        raise DomainError("first regressor has zero norm; supply epsilon")
+    return eps
+
+
+# ---------------------------------------------------------------------
+# The gate and the two recursions
+# ---------------------------------------------------------------------
+
+
+class _Gate:
+    """State, censoring gate and snapshot shared by LMS and RLS.
+
+    A subclass supplies the recursion: ``_kept`` updates on a datum the
+    gate keeps and charges its multiplies, and ``_ready`` sets up state
+    that waits for the first datum.
+    """
+
+    def __init__(self, theta, sigma: float | None, plan: ThresholdPlan | None,
+                 tau_out: float | None):
+        if sigma is None:
+            if plan is not None or tau_out is not None:
+                raise ConfigError("a threshold plan or an outlier bound needs sigma")
+        elif sigma <= 0.0:
+            raise ConfigError("sigma must be positive")
+        self.theta = np.array(theta, dtype=np.float64)
+        self.sigma = None if sigma is None else float(sigma)
+        self.plan = plan
+        self.tau_out = None if tau_out is None else float(tau_out)
+        self.n = 0
+        self.multiply_count = 0
+        self.kept_count = 0
+
+    @property
+    def p(self) -> int:
+        return self.theta.shape[0]
+
+    def _ready(self, x: np.ndarray) -> None:
+        pass
+
+    def _plan_tau(self, n: int, x: np.ndarray):
+        """(tau, v, s) for step n; v = Px and s = x'Px when the plan read them."""
+        return self.plan.threshold(n, x=x), None, None
+
+    def step(self, y: float, x, tau: float | None = None) -> tuple["_Gate", CensorDecision]:
+        """Gate one datum and update on it if kept; returns (self, decision).
+
+        An open gate keeps every datum and ignores tau.  Otherwise the
+        datum is kept iff |e| >= tau sigma (boundary kept), with tau given
+        here or read from the plan.  With tau_out, robust_decide takes the
+        decision and an outlier is kept with its score clipped.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        self._ready(x)
+        n = self.n + 1
+        v = s = None
+        if self.sigma is not None and tau is None:
+            if self.plan is None:
+                raise ConfigError("no tau given and no threshold plan configured")
+            tau, v, s = self._plan_tau(n, x)
+            if self.tau_out is not None:
+                # An adaptive schedule can ask for a threshold above the clip
+                # boundary while it warms up; the clip stays in charge there.
+                tau = min(tau, self.tau_out)
+        self.n = n
+        e = float(y) - float(x @ self.theta)
+        self.multiply_count += x.shape[0]
+        if self.tau_out is not None:
+            decision = robust_decide(e, self.sigma, tau, self.tau_out)
+            kept, outlier = decision.kept, decision.outlier
+        else:
+            kept, outlier = self.sigma is None or abs(e) >= tau * self.sigma, False
+        if not kept:
+            return self, CensorDecision(False)
+        self.kept_count += 1
+        if outlier:
+            e = self.tau_out * self.sigma * math.copysign(1.0, e)
+        self._kept(x, e, outlier, v, s)
+        return self, CensorDecision(True, float(y), outlier)
+
+    def snapshot(self) -> dict:
+        """The estimator's state as a JSON document (see the module docstring)."""
+        doc = {"kind": self.kind}
+        for name, value in vars(self).items():
+            if name == "plan":
+                continue
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, StepSize):
+                value = {"policy": value.policy, "value": value.value}
+            doc[name] = value
+        return doc
+
+
+class LMS(_Gate):
+    """First-order recursion: theta += mu_n beta x, with beta = e on a kept
+    datum.
+
+    Multiplies: the innovation x'theta (p) on every step; a kept datum,
+    nominal or clipped, adds mu*beta (1) and the scaled add (p).  So an
+    open gate costs 2p + 1 per step, and a gated censored step costs p.
+    """
+
+    kind = "lms"
+
+    def __init__(self, p: int, mu: StepSize, sigma: float | None = None,
+                 plan: ThresholdPlan | None = None, tau_out: float | None = None):
+        super().__init__(np.zeros(int(p)), sigma, plan, tau_out)
+        self.mu = mu
+
+    def _update(self, x: np.ndarray, beta: float) -> None:
+        self.theta += (self.mu.at(self.n) * beta) * x
+
+    def _kept(self, x, beta, outlier, v, s) -> None:
+        self._update(x, beta)
+        self.multiply_count += x.shape[0] + 1
+
+
+class RLS(_Gate):
+    """Second-order recursion: recursive least squares, exact ridge at
+    every step.
+
+    Carries P_n = (eps I + sum of kept x x')^{-1}; theta_n is the
+    minimizer of sum (y - x'theta)^2 + eps ||theta||^2 over the kept data
+    seen so far.  eps defaults to ``default_ridge`` of the first
+    regressor, at data scale when the outlier clip or an online plan
+    reads P.  Override with an explicit epsilon, or initialize from a
+    (theta0, inv_gram0) block.  A clipped outlier moves theta by
+    tau_o sigma sign(e) P x and leaves P as it is, so a wild datum can
+    neither drag the estimate far nor corrupt the step matrix.
+
+    Multiplies: the innovation (p) on every step.  A kept nominal datum
+    adds Px (p^2), x'Px (p), gain (p), theta (p) and rank-one (p^2), for
+    2p^2 + 4p in all, the cost of every step with the gate open; a
+    clipped outlier adds Px (p^2) and theta (p).  A gated stream of D
+    data with d kept and none clipped therefore costs exactly
+    d(2p^2 + 3p) + Dp.  An ac-online plan adds p(p+1) every step for
+    x'Px; a kept step reuses that product.
+    """
+
+    kind = "rls"
+    _breakdown = "update denominator vanished"
+
+    def __init__(self, p: int, epsilon: float | None = None, theta0=None, inv_gram0=None,
+                 sigma: float | None = None, plan: ThresholdPlan | None = None,
+                 tau_out: float | None = None):
+        super().__init__(np.zeros(int(p)) if theta0 is None else theta0, sigma, plan, tau_out)
+        self.epsilon = None if epsilon is None else float(epsilon)
+        self.P = None if inv_gram0 is None else np.array(inv_gram0, dtype=np.float64)
+
+    @property
+    def C(self) -> np.ndarray:
+        """n-scaled step matrix; before any update, the prior block P^-1."""
+        if self.P is None:
+            raise UsageError("step matrix undefined before the first datum fixes eps")
+        if self.n == 0:
+            return np.linalg.inv(self.P)
+        return self.n * self.P
+
+    def _ready(self, x: np.ndarray) -> None:
+        if self.P is not None:
+            return
+        if self.epsilon is None:
+            self.epsilon = float(default_ridge(x, self.plan, self.tau_out))
+        self.P = np.eye(self.p) / self.epsilon
+
+    def _plan_tau(self, n: int, x: np.ndarray):
+        if not self.plan.needs_quadratic_form:
+            return super()._plan_tau(n, x)
+        v = self.P @ x
+        s = float(x @ v)
+        self.multiply_count += self.p * (self.p + 1)
+        q = s * (n - 1) / n  # x' C_{n-1} x / n with C_{n-1} = (n-1) P
+        return self.plan.threshold(n, quadratic_form=q), v, s
+
+    def _update(self, x: np.ndarray, beta: float, h: float, v=None, s=None) -> None:
+        """Sherman-Morrison with weight h, P <- (P^-1 + h x x')^-1 in place,
+        then theta += beta P x with the updated P; v = Px and s = x'Px if
+        known.  h = 0 leaves P untouched."""
+        P = self.P
+        if v is None:
+            v = P @ x
+            s = float(x @ v) if h else 0.0
+        denom = 1.0 + h * s
+        if abs(denom) < _SINGULAR_TOL:
+            raise SingularityError(self._breakdown)
+        k = v * (1.0 / denom)  # the updated P times x
+        if h:
+            P -= np.outer(k * h, v)
+        self.theta += beta * k
+
+    def _kept(self, x, beta, outlier, v, s) -> None:
+        p = self.p
+        if v is None:
+            self.multiply_count += p * p + (0 if outlier else p)
+        self._update(x, beta, 0.0 if outlier else 1.0, v, s)
+        self.multiply_count += p if outlier else p * p + 2 * p
+
+
 # ---------------------------------------------------------------------
 # Likelihood-driven estimators (non-adaptive censoring)
 # ---------------------------------------------------------------------
 
 
-class FirstOrderCensoredMLE:
+def _likelihood_term(est, decision: CensorDecision, x: np.ndarray, tau: float) -> CensoredTerm:
+    """Count one datum and turn the censor's decision into its likelihood
+    term; a censored term is anchored at x'theta_K, which costs p."""
+    est.n += 1
+    if decision.kept:
+        if decision.value is None:
+            raise UsageError("kept decision carries no value")
+        est.kept_count += 1
+        return CensoredTerm(False, float(decision.value), x, tau, est.sigma)
+    est.multiply_count += x.shape[0]
+    return CensoredTerm(True, float(x @ est.anchor_theta), x, tau, est.sigma)
+
+
+class FirstOrderCensoredMLE(LMS):
     """Stochastic-gradient MLE over censored likelihood terms.
 
     theta_n = theta_{n-1} + mu_n * beta_n * x_n, started at the
@@ -152,542 +391,49 @@ class FirstOrderCensoredMLE:
     kind = "samle1"
 
     def __init__(self, prelim: PreliminaryFit, sigma: float, mu: StepSize):
-        if sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
+        super().__init__(prelim.theta.size, mu, sigma)
         self.theta = np.array(prelim.theta, dtype=np.float64)
-        self.anchor_theta = np.array(prelim.theta, dtype=np.float64)
-        self.sigma = float(sigma)
-        self.mu = mu
-        self.n = 0
-        self.multiply_count = 0
-        self.kept_count = 0
-
-    @property
-    def p(self) -> int:
-        return self.theta.shape[0]
+        self.anchor_theta = self.theta.copy()
 
     def step(self, decision: CensorDecision, x, tau: float) -> "FirstOrderCensoredMLE":
         x = np.asarray(x, dtype=np.float64)
-        self.n += 1
-        p = x.shape[0]
-        if decision.kept:
-            if decision.value is None:
-                raise UsageError("kept decision carries no value")
-            term = CensoredTerm(False, float(decision.value), x, tau, self.sigma)
-            self.kept_count += 1
-            self.multiply_count += 2 * p + 1
-        else:
-            anchor = float(x @ self.anchor_theta)
-            term = CensoredTerm(True, anchor, x, tau, self.sigma)
-            self.multiply_count += 3 * p + 1
-        beta = evaluate(term, self.theta).beta
-        self.theta += (self.mu.at(self.n) * beta) * x
+        term = _likelihood_term(self, decision, x, tau)
+        self._update(x, evaluate(term, self.theta).beta)
+        self.multiply_count += 2 * x.shape[0] + 1
         return self
 
-    def snapshot(self) -> dict:
-        snap = {"kind": self.kind, "sigma": self.sigma, "mu_policy": self.mu.policy,
-                "mu_value": self.mu.value, "n": self.n,
-                "multiply_count": self.multiply_count, "kept_count": self.kept_count}
-        _pack(snap, "theta", self.theta)
-        _pack(snap, "anchor_theta", self.anchor_theta)
-        return snap
 
-    @classmethod
-    def _restore(cls, snap: dict) -> "FirstOrderCensoredMLE":
-        theta = _unpack(snap, "theta")
-        prelim = PreliminaryFit(_unpack(snap, "anchor_theta"), np.eye(theta.size), theta.size)
-        est = cls(prelim, snap["sigma"], StepSize(snap["mu_policy"], snap["mu_value"]))
-        est.theta = theta
-        est.n = int(snap["n"])
-        est.multiply_count = int(snap["multiply_count"])
-        est.kept_count = int(snap["kept_count"])
-        return est
-
-
-class SecondOrderCensoredMLE:
+class SecondOrderCensoredMLE(RLS):
     """Newton-style MLE: the gradient is scaled by the inverse average
     per-datum information.
 
     The information recursion accumulates h_n x_n x_n' on every datum,
     censored or not (an interval still carries curvature h_n > 0).  The
-    prior block U_0 = sigma^2 (X_K'X_K)^{-1} keeps the warm-up data's
+    prior block P_0 = sigma^2 (X_K'X_K)^{-1} keeps the warm-up data's
     information, so with no censoring the trajectory coincides with
     recursive least squares continued from the preliminary fit.
 
-    Multiplies per step: x'theta (p), U x (p^2), x'Ux (p), rank-one
+    Multiplies per step: x'theta (p), P x (p^2), x'Px (p), rank-one
     correction (p^2 + 1), theta update (p + 1), plus the anchor (p) on
     censored steps.
     """
 
     kind = "samle2"
+    _breakdown = "information update denominator vanished"
 
     def __init__(self, prelim: PreliminaryFit, sigma: float):
-        if sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
-        self.theta = np.array(prelim.theta, dtype=np.float64)
-        self.anchor_theta = np.array(prelim.theta, dtype=np.float64)
-        self.sigma = float(sigma)
-        self._U = (sigma * sigma) * np.array(prelim.gram_inv, dtype=np.float64)
-        self.n = 0
-        self.multiply_count = 0
-        self.kept_count = 0
-
-    @property
-    def p(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def C(self) -> np.ndarray:
-        """The n-scaled step matrix (C_0 is the prior block itself)."""
-        return self._U.copy() if self.n == 0 else self.n * self._U
+        super().__init__(prelim.theta.size, theta0=prelim.theta,
+                         inv_gram0=(sigma * sigma) * np.asarray(prelim.gram_inv), sigma=sigma)
+        self.anchor_theta = self.theta.copy()
 
     def step(self, decision: CensorDecision, x, tau: float) -> "SecondOrderCensoredMLE":
         x = np.asarray(x, dtype=np.float64)
-        self.n += 1
-        p = x.shape[0]
-        if decision.kept:
-            if decision.value is None:
-                raise UsageError("kept decision carries no value")
-            term = CensoredTerm(False, float(decision.value), x, tau, self.sigma)
-            self.kept_count += 1
-            self.multiply_count += p
-        else:
-            anchor = float(x @ self.anchor_theta)
-            term = CensoredTerm(True, anchor, x, tau, self.sigma)
-            self.multiply_count += 2 * p
+        term = _likelihood_term(self, decision, x, tau)
         si = evaluate(term, self.theta)
-        U = self._U
-        v = U @ x
-        denom = 1.0 + si.info * float(x @ v)
-        if abs(denom) < _SINGULAR_TOL:
-            raise SingularityError("information update denominator vanished")
-        U -= np.outer(v, v) * (si.info / denom)
-        # theta += U_new (beta x); U_new x collapses to v / denom.
-        self.theta += (si.beta / denom) * v
-        self.multiply_count += 2 * p * p + 2 * p + 2
-        return self
-
-    def snapshot(self) -> dict:
-        snap = {"kind": self.kind, "sigma": self.sigma, "n": self.n,
-                "multiply_count": self.multiply_count, "kept_count": self.kept_count}
-        _pack(snap, "theta", self.theta)
-        _pack(snap, "anchor_theta", self.anchor_theta)
-        _pack(snap, "U", self._U)
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "SecondOrderCensoredMLE":
-        theta = _unpack(snap, "theta")
-        p = theta.size
-        prelim = PreliminaryFit(_unpack(snap, "anchor_theta"), np.eye(p), p)
-        est = cls(prelim, snap["sigma"])
-        est.theta = theta
-        est._U = _unpack(snap, "U").reshape(p, p)
-        est.n = int(snap["n"])
-        est.multiply_count = int(snap["multiply_count"])
-        est.kept_count = int(snap["kept_count"])
-        return est
-
-
-# ---------------------------------------------------------------------
-# LMS family
-# ---------------------------------------------------------------------
-
-
-class LMS:
-    """Least-mean-squares: theta += mu_n x (y - x'theta).
-
-    Multiplies per step: x'theta (p) + mu*e (1) + scale (p) = 2p + 1.
-    """
-
-    kind = "lms"
-
-    def __init__(self, p: int, mu: StepSize):
-        self.theta = np.zeros(int(p), dtype=np.float64)
-        self.mu = mu
-        self.n = 0
-        self.multiply_count = 0
-        self.kept_count = 0
-
-    @property
-    def p(self) -> int:
-        return self.theta.shape[0]
-
-    def step(self, y: float, x) -> "LMS":
-        x = np.asarray(x, dtype=np.float64)
-        self.n += 1
-        self.kept_count += 1
-        e = float(y) - float(x @ self.theta)
-        self.theta += (self.mu.at(self.n) * e) * x
-        self.multiply_count += 2 * x.shape[0] + 1
-        return self
-
-    def snapshot(self) -> dict:
-        snap = {"kind": self.kind, "mu_policy": self.mu.policy, "mu_value": self.mu.value,
-                "n": self.n, "multiply_count": self.multiply_count,
-                "kept_count": self.kept_count}
-        _pack(snap, "theta", self.theta)
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "LMS":
-        theta = _unpack(snap, "theta")
-        est = cls(theta.size, StepSize(snap["mu_policy"], snap["mu_value"]))
-        est.theta = theta
-        est.n = int(snap["n"])
-        est.multiply_count = int(snap["multiply_count"])
-        est.kept_count = int(snap["kept_count"])
-        return est
-
-
-class ACLMS(LMS):
-    """LMS that skips the update when the innovation is censorable.
-
-    Keep iff |e| >= tau*sigma (boundary kept); a censored datum leaves
-    theta untouched -- its cost under the truncated quadratic is flat.
-
-    Multiplies: censored step p; kept step 2p + 1, same as plain LMS.
-    """
-
-    kind = "ac-lms"
-
-    def __init__(self, p: int, mu: StepSize, sigma: float,
-                 plan: ThresholdPlan | None = None):
-        super().__init__(p, mu)
-        if sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
-        self.sigma = float(sigma)
-        self.plan = plan
-
-    def step(self, y: float, x, tau: float | None = None) -> tuple["ACLMS", CensorDecision]:
-        x = np.asarray(x, dtype=np.float64)
-        n = self.n + 1
-        if tau is None:
-            if self.plan is None:
-                raise ConfigError("no tau given and no threshold plan configured")
-            tau = self.plan.threshold(n, x=x)
-        self.n = n
+        self._update(x, si.beta, si.info)
         p = x.shape[0]
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += p
-        if abs(e) >= tau * self.sigma:
-            self.theta += (self.mu.at(n) * e) * x
-            self.multiply_count += p + 1
-            self.kept_count += 1
-            return self, CensorDecision(True, float(y))
-        return self, CensorDecision(False)
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["sigma"] = self.sigma
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "ACLMS":
-        theta = _unpack(snap, "theta")
-        est = cls(theta.size, StepSize(snap["mu_policy"], snap["mu_value"]), snap["sigma"])
-        est.theta = theta
-        est.n = int(snap["n"])
-        est.multiply_count = int(snap["multiply_count"])
-        est.kept_count = int(snap["kept_count"])
-        return est
-
-
-class RobustACLMS(ACLMS):
-    """AC-LMS with an outlier guard: beyond tau_o*sigma the gradient is
-    clipped to tau_o*sigma*sign(e), Huber style."""
-
-    kind = "rac-lms"
-
-    def __init__(self, p: int, mu: StepSize, sigma: float, tau_out: float,
-                 plan: ThresholdPlan | None = None):
-        super().__init__(p, mu, sigma, plan)
-        self.tau_out = float(tau_out)
-
-    def step(self, y: float, x, tau: float | None = None) -> tuple["RobustACLMS", CensorDecision]:
-        x = np.asarray(x, dtype=np.float64)
-        n = self.n + 1
-        if tau is None:
-            if self.plan is None:
-                raise ConfigError("no tau given and no threshold plan configured")
-            # An adaptive schedule can ask for a threshold above the clip
-            # boundary while it warms up; the clip stays in charge there.
-            tau = min(self.plan.threshold(n, x=x), self.tau_out)
-        self.n = n
-        p = x.shape[0]
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += p
-        decision = robust_decide(e, self.sigma, tau, self.tau_out)
-        if not decision.kept:
-            return self, decision
-        self.kept_count += 1
-        if decision.outlier:
-            g = self.tau_out * self.sigma * math.copysign(1.0, e)
-            self.theta += (self.mu.at(n) * g) * x
-        else:
-            self.theta += (self.mu.at(n) * e) * x
-        self.multiply_count += p + 1
-        return self, CensorDecision(True, float(y), decision.outlier)
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["tau_out"] = self.tau_out
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "RobustACLMS":
-        theta = _unpack(snap, "theta")
-        est = cls(theta.size, StepSize(snap["mu_policy"], snap["mu_value"]),
-                  snap["sigma"], snap["tau_out"])
-        est.theta = theta
-        est.n = int(snap["n"])
-        est.multiply_count = int(snap["multiply_count"])
-        est.kept_count = int(snap["kept_count"])
-        return est
-
-
-# ---------------------------------------------------------------------
-# RLS family
-# ---------------------------------------------------------------------
-
-
-class RLS:
-    """Recursive least squares, exact ridge at every step.
-
-    Carries P_n = (eps I + sum of kept x x')^{-1}; theta_n is the
-    minimizer of sum (y - x'theta)^2 + eps ||theta||^2 over the data
-    seen so far.  eps defaults to a fraction of ||x_1||^2 / p (one
-    average regressor coordinate's energy): 1e-2 of it here, so the
-    ridge is a faint prior and the trajectory is near-LS from the
-    start.  Variants whose step matrix must track the kept-data error
-    covariance (the robust clip, the online threshold rule) default to
-    the full ||x_1||^2 / p instead, one datum's worth of prior
-    information, since for them a near-flat prior either destabilizes
-    the clipped update or stalls the threshold.  Override with an
-    explicit epsilon, or initialize from a (theta0, inv_gram0) block.
-
-    Multiplies per step: e (p) + Px (p^2) + x'Px (p) + gain (p) +
-    theta (p) + rank-one (p^2) = 2p^2 + 4p.
-    """
-
-    kind = "rls"
-    _ridge_fraction = 1e-2
-
-    def __init__(self, p: int, epsilon: float | None = None,
-                 theta0=None, inv_gram0=None):
-        p = int(p)
-        self.theta = np.zeros(p, dtype=np.float64) if theta0 is None \
-            else np.array(theta0, dtype=np.float64)
-        self.epsilon = None if epsilon is None else float(epsilon)
-        self._P = None if inv_gram0 is None else np.array(inv_gram0, dtype=np.float64)
-        self.n = 0
-        self.multiply_count = 0
-        self.kept_count = 0
-        self._p = p
-
-    @property
-    def p(self) -> int:
-        return self._p
-
-    @property
-    def C(self) -> np.ndarray:
-        """n-scaled step matrix; before any update, the eps I block."""
-        if self._P is None:
-            raise UsageError("step matrix undefined before the first datum fixes eps")
-        if self.n == 0:
-            return np.linalg.inv(self._P)
-        return self.n * self._P
-
-    def _ensure_ready(self, x: np.ndarray) -> None:
-        if self._P is not None:
-            return
-        if self.epsilon is None:
-            # Scale-aware default ridge, set from the per-coordinate
-            # energy of the first regressor.
-            self.epsilon = self._ridge_fraction * float(x @ x) / self._p
-            if self.epsilon <= 0.0:
-                raise DomainError("first regressor has zero norm; supply epsilon")
-        self._P = np.eye(self._p) / self.epsilon
-
-    def _update(self, x: np.ndarray, e: float, v=None, s=None) -> None:
-        """Shared kept-datum kernel: Sherman-Morrison P, then theta += e k."""
-        P = self._P
-        if v is None:
-            v = P @ x
-            s = float(x @ v)
-            self.multiply_count += self._p * self._p + self._p
-        denom = 1.0 + s
-        if abs(denom) < _SINGULAR_TOL:
-            raise SingularityError("update denominator vanished")
-        k = v * (1.0 / denom)
-        self.theta += e * k
-        P -= np.outer(k, v)
-        self.multiply_count += self._p * self._p + 2 * self._p
-
-    def step(self, y: float, x) -> "RLS":
-        x = np.asarray(x, dtype=np.float64)
-        self._ensure_ready(x)
-        self.n += 1
-        self.kept_count += 1
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += self._p
-        self._update(x, e)
+        self.multiply_count += 2 * p * p + 3 * p + 2
         return self
-
-    def snapshot(self) -> dict:
-        snap = {"kind": self.kind, "n": self.n, "multiply_count": self.multiply_count,
-                "kept_count": self.kept_count,
-                "epsilon": -1.0 if self.epsilon is None else self.epsilon}
-        _pack(snap, "theta", self.theta)
-        if self._P is not None:
-            _pack(snap, "P", self._P)
-        return snap
-
-    def _restore_common(self, snap: dict) -> None:
-        self.theta = _unpack(snap, "theta")
-        if any(k.startswith("P.") for k in snap):
-            self._P = _unpack(snap, "P").reshape(self._p, self._p)
-        self.epsilon = None if snap["epsilon"] < 0 else snap["epsilon"]
-        self.n = int(snap["n"])
-        self.multiply_count = int(snap["multiply_count"])
-        self.kept_count = int(snap["kept_count"])
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "RLS":
-        est = cls(int(len([k for k in snap if k.startswith("theta.")])))
-        est._restore_common(snap)
-        return est
-
-
-class ACRLS(RLS):
-    """RLS with adaptive censoring: small innovations are dropped.
-
-    Censored steps touch neither theta nor P (the n-scaled C picks up
-    its n/(n-1) rescaling for free) and cost only the innovation test.
-
-    Multiplies: censored step p; kept step 2p^2 + 4p, same as plain
-    RLS.  A stream of D data with d kept therefore costs exactly
-    d(2p^2 + 3p) + Dp.  An ac-online plan adds p(p+1) every step for
-    x'Cx; kept steps reuse that matrix-vector product.
-    """
-
-    kind = "ac-rls"
-
-    def __init__(self, p: int, sigma: float, epsilon: float | None = None,
-                 plan: ThresholdPlan | None = None):
-        super().__init__(p, epsilon)
-        if sigma <= 0.0:
-            raise ConfigError("sigma must be positive")
-        self.sigma = float(sigma)
-        self.plan = plan
-        if plan is not None and plan.needs_quadratic_form:
-            # The online threshold reads x'Cx off the step matrix, so
-            # the prior block must start at data scale: a near-flat
-            # prior would keep tau huge, censor everything, and never
-            # let the step matrix contract.
-            self._ridge_fraction = 1.0
-
-    def _plan_tau(self, n: int, x: np.ndarray):
-        """(tau, v, s) for step n; v = Px and s = x'Px when precomputed."""
-        plan = self.plan
-        if plan is None:
-            raise ConfigError("no tau given and no threshold plan configured")
-        if plan.needs_quadratic_form:
-            v = self._P @ x
-            s = float(x @ v)
-            q = s * (n - 1) / n  # x' C_{n-1} x / n with C_{n-1} = (n-1) P
-            self.multiply_count += self._p * (self._p + 1)
-            return plan.threshold(n, quadratic_form=q), v, s
-        return plan.threshold(n, x=x), None, None
-
-    def step(self, y: float, x, tau: float | None = None) -> tuple["ACRLS", CensorDecision]:
-        x = np.asarray(x, dtype=np.float64)
-        self._ensure_ready(x)
-        n = self.n + 1
-        v = s = None
-        if tau is None:
-            tau, v, s = self._plan_tau(n, x)
-        self.n = n
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += self._p
-        if abs(e) >= tau * self.sigma:
-            self.kept_count += 1
-            self._update(x, e, v, s)
-            return self, CensorDecision(True, float(y))
-        return self, CensorDecision(False)
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["sigma"] = self.sigma
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "ACRLS":
-        est = cls(int(len([k for k in snap if k.startswith("theta.")])), snap["sigma"])
-        est._restore_common(snap)
-        return est
-
-
-class RobustACRLS(ACRLS):
-    """AC-RLS with outlier clipping.
-
-    Nominal data get the full RLS update; outliers (|e| >= tau_o sigma)
-    move theta by the clipped gradient tau_o sigma sign(e) P x and skip
-    the P update entirely, so a wild datum can neither drag the
-    estimate far nor corrupt the step matrix.
-
-    The clipped step has no innovation-normalizing denominator, so its
-    size is set directly by P; the default ridge is therefore the full
-    data-scale prior (see RLS), keeping early clipped kicks at the
-    magnitude of one regressor.
-    """
-
-    kind = "rac-rls"
-    _ridge_fraction = 1.0
-
-    def __init__(self, p: int, sigma: float, tau_out: float,
-                 epsilon: float | None = None, plan: ThresholdPlan | None = None):
-        super().__init__(p, sigma, epsilon, plan)
-        self.tau_out = float(tau_out)
-
-    def step(self, y: float, x, tau: float | None = None) -> tuple["RobustACRLS", CensorDecision]:
-        x = np.asarray(x, dtype=np.float64)
-        self._ensure_ready(x)
-        n = self.n + 1
-        v = s = None
-        if tau is None:
-            tau, v, s = self._plan_tau(n, x)
-            tau = min(tau, self.tau_out)  # clip boundary wins during warm-up
-        self.n = n
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += self._p
-        decision = robust_decide(e, self.sigma, tau, self.tau_out)
-        if not decision.kept:
-            return self, CensorDecision(False)
-        self.kept_count += 1
-        if decision.outlier:
-            # theta += (1/n) C_n g x with C_n = n P (P untouched).
-            if v is None:
-                v = self._P @ x
-                self.multiply_count += self._p * self._p
-            g = self.tau_out * self.sigma * math.copysign(1.0, e)
-            self.theta += g * v
-            self.multiply_count += self._p
-            return self, CensorDecision(True, float(y), True)
-        self._update(x, e, v, s)
-        return self, CensorDecision(True, float(y))
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["tau_out"] = self.tau_out
-        return snap
-
-    @classmethod
-    def _restore(cls, snap: dict) -> "RobustACRLS":
-        est = cls(int(len([k for k in snap if k.startswith("theta.")])),
-                  snap["sigma"], snap["tau_out"])
-        est._restore_common(snap)
-        return est
 
 
 # ---------------------------------------------------------------------
@@ -733,29 +479,19 @@ def regret(traj, terms, theta_ref) -> float:
     return total
 
 
-_KINDS = {
-    cls.kind: cls
-    for cls in (FirstOrderCensoredMLE, SecondOrderCensoredMLE, LMS, ACLMS,
-                RobustACLMS, RLS, ACRLS, RobustACRLS)
-}
-
-
-def from_snapshot(snap: dict):
-    """Rebuild an estimator from its flat snapshot document."""
-    try:
-        cls = _KINDS[snap["kind"]]
-    except KeyError as exc:
-        raise ConfigError(f"unknown estimator kind in snapshot: {snap.get('kind')!r}") from exc
-    return cls._restore(snap)
-
-
-def _pack(snap: dict, name: str, arr: np.ndarray) -> None:
-    for i, v in enumerate(np.asarray(arr).ravel()):
-        snap[f"{name}.{i}"] = float(v)
-
-
-def _unpack(snap: dict, name: str) -> np.ndarray:
-    prefix = name + "."
-    items = [(int(k[len(prefix):]), v) for k, v in snap.items() if k.startswith(prefix)]
-    items.sort()
-    return np.array([v for _, v in items], dtype=np.float64)
+def from_snapshot(doc: dict):
+    """Rebuild an estimator from its ``snapshot()`` document."""
+    kinds = {cls.kind: cls for cls in (LMS, RLS, FirstOrderCensoredMLE, SecondOrderCensoredMLE)}
+    cls = kinds.get(doc.get("kind"))
+    if cls is None:
+        raise ConfigError(f"unknown estimator kind in snapshot: {doc.get('kind')!r}")
+    est = object.__new__(cls)
+    est.plan = None
+    for name, value in doc.items():
+        if isinstance(value, list):
+            value = np.array(value, dtype=np.float64)
+        elif isinstance(value, dict):
+            value = StepSize(**value)
+        if name != "kind":
+            setattr(est, name, value)
+    return est

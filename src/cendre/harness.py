@@ -20,7 +20,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,7 +29,7 @@ import numpy as np
 from .censor import ThresholdPlan, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize, toeplitz_cov
 from .errors import ConfigError, DomainError, SingularityError
-from .estimators import _SINGULAR_TOL, StepSize, kaczmarz_run, preliminary_fit
+from .estimators import _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run, preliminary_fit
 from .ingest import load_csv, surrogate_truth
 from .likelihood import score_info
 from .numkit.gaussian import gauss_pdf, gauss_q, gauss_q_inv
@@ -44,6 +44,8 @@ __all__ = [
     "monte_carlo",
     "prop_bounds",
     "geometric_schedule",
+    "RESULT_COLUMNS",
+    "result_rows",
     "write_results_csv",
     "write_summary_json",
     "run_experiment",
@@ -574,10 +576,7 @@ class _Lockstep:
         self.online = self.plan is not None and self.plan.needs_quadratic_form
         self.tau_out = cfg.tau_out if method in ("rac-lms", "rac-rls") else None
         self.gated = method not in ("lms", "rls")
-        # The ridge of the RLS family, when not given: a fraction of the
-        # first regressor's energy per coordinate (see RLS).
         self.epsilon = cfg.epsilon
-        self.ridge = 1.0 if method == "rac-rls" or self.online else 1e-2
         self.kept = np.zeros(R, dtype=np.int64)
         self.clipped = np.zeros(R, dtype=np.int64)
         self.n = self.events = 0
@@ -641,9 +640,7 @@ class _Lockstep:
         if self.P is None and self.mu is None:
             eps = self.epsilon
             if eps is None:
-                eps = self.ridge * np.einsum("rp,rp->r", X[0], X[0]) / X.shape[2]
-                if (eps <= 0.0).any():
-                    raise DomainError("first regressor has zero norm; supply epsilon")
+                eps = default_ridge(X[0], self.plan, self.tau_out)
             self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
         offline = self.plan is not None and not self.online
         panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + len(Y))[:, None] if offline else None
@@ -719,7 +716,8 @@ class _Lockstep:
 
 def _multiplies(method: str, p: int, n, kept, clipped, online: bool):
     """Exact multiply count of n steps that kept `kept` data, `clipped` of
-    them as outliers; the per-step costs are in each estimator's docstring."""
+    them as outliers; the per-step costs are in the docstrings of LMS,
+    RLS and the two censored-MLE classes in ``cendre.estimators``."""
     if method == "samle1":
         return n * (3 * p + 1) - kept * p
     if method == "samle2":
@@ -831,12 +829,16 @@ def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     Replicate r runs on derive(cfg.seed, r).  Streaming methods advance
     all replicates in lockstep, as one (R, p) state updated by one
     vectorized step per datum; each replicate's trace is the one
-    run_trial gives it alone.  Batch methods and kaczmarz run replicate
-    by replicate.  Aggregation is by replicate index.
+    run_trial gives it alone.  On a dataset every replicate streams the
+    same data through a recursion that draws no randomness, so replicate
+    0 runs once and its trace stands for every seed.  Batch methods and
+    kaczmarz run replicate by replicate.  Aggregation is by replicate
+    index.
     """
     seeds = [derive(cfg.seed, r) for r in range(cfg.replicates)]
     if cfg.method in STREAM_METHODS:
-        traces = _run_lockstep(cfg, seeds)
+        traces = _run_lockstep(cfg, seeds[:1] if cfg.dataset_path is not None else seeds)
+        traces += [replace(traces[0], seed=s) for s in seeds[len(traces):]]
     else:
         traces = [run_trial(cfg, s) for s in seeds]
 
@@ -940,23 +942,27 @@ def prop_bounds(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------
 
 
+RESULT_COLUMNS = ("method", "seed", "n", "mse", "rse", "censor_ratio", "multiplies")
+
+
+def result_rows(traces) -> list[list]:
+    """One row of RESULT_COLUMNS per replicate and mark, sorted by
+    (method, seed, n), with floats as repr so the files are byte-stable."""
+    rows = [(t.method, int(t.seed), int(t.n[i]), float(t.mse[i]), float(t.rse[i]),
+             float(t.censor_ratio[i]), int(t.multiplies[i]))
+            for t in traces for i in range(t.n.size)]
+    rows.sort(key=lambda row: row[:3])
+    return [[method, seed, n, repr(mse), repr(rse), repr(ratio), mult]
+            for method, seed, n, mse, rse, ratio, mult in rows]
+
+
 def write_results_csv(traces, path) -> Path:
-    """Per-replicate rows, sorted by (method, seed, n); byte-stable."""
-    rows = []
-    for t in traces:
-        for i in range(t.n.size):
-            rows.append((t.method, int(t.seed), int(t.n[i]), float(t.mse[i]),
-                         float(t.rse[i]), float(t.censor_ratio[i]),
-                         int(t.multiplies[i])))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    """Per-replicate rows (see result_rows); byte-stable."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "n", "mse", "rse", "censor_ratio",
-                         "multiplies"])
-        for method, seed, n, mse, rse, ratio, mult in rows:
-            writer.writerow([method, seed, n, repr(mse), repr(rse), repr(ratio),
-                             mult])
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(result_rows(traces))
     return path
 
 

@@ -1,9 +1,9 @@
 """Deterministic numerical primitives: Gaussian tails, stable interval
-probabilities, rank-one inverse updates, the fast Walsh-Hadamard
-transform, and seeded substream derivation."""
+probabilities, Cholesky solves, the fast Walsh-Hadamard transform, and
+seeded substream derivation."""
 
 from .gaussian import gauss_pdf, gauss_q, gauss_q_inv, interval_log_prob
-from .linalg import cholesky_solve, fwht_in_place, rank_one_inverse_update
+from .linalg import cholesky_solve, fwht_in_place
 from .rng import derive, substream
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "gauss_q",
     "gauss_q_inv",
     "interval_log_prob",
-    "rank_one_inverse_update",
     "fwht_in_place",
     "cholesky_solve",
     "substream",

@@ -1,9 +1,5 @@
-"""Dense symmetric linear algebra helpers used by the online estimators.
-
-rank_one_inverse_update is the single workhorse: every second-order
-recursion in the package is one Sherman-Morrison correction per kept
-datum, never an explicit re-inversion.
-"""
+"""Dense linear algebra helpers: the fast Walsh-Hadamard transform and
+symmetric positive definite solves."""
 
 from __future__ import annotations
 
@@ -12,36 +8,7 @@ import scipy.linalg
 
 from ..errors import DomainError, SingularityError
 
-__all__ = ["rank_one_inverse_update", "fwht_in_place", "cholesky_solve"]
-
-_SINGULAR_TOL = 1e-12
-
-
-def rank_one_inverse_update(C, x, w):
-    """Return (C^-1 + w x x^T)^-1 given C, without forming any inverse.
-
-    Sherman-Morrison:  C - (w C x x^T C) / (1 + w x^T C x).
-
-    Parameters
-    ----------
-    C : (p, p) ndarray, symmetric
-    x : (p,) ndarray
-    w : float
-        Rank-one weight; may be negative (downdate) as long as the
-        denominator stays away from zero.
-
-    Raises
-    ------
-    SingularityError
-        If |1 + w x^T C x| < 1e-12.
-    """
-    C = np.asarray(C, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    v = C @ x
-    denom = 1.0 + w * float(x @ v)
-    if abs(denom) < _SINGULAR_TOL:
-        raise SingularityError(f"rank-one update denominator {denom:.3e} below tolerance")
-    return C - np.outer(v, v) * (w / denom)
+__all__ = ["fwht_in_place", "cholesky_solve"]
 
 
 def fwht_in_place(v):

@@ -19,12 +19,9 @@ import numpy as np
 from cendre.censor import CensorDecision, ThresholdPlan, nac_decide
 from cendre.datagen import StreamSpec, materialize
 from cendre.estimators import (
-    ACLMS,
-    ACRLS,
     LMS,
     RLS,
     FirstOrderCensoredMLE,
-    RobustACRLS,
     SecondOrderCensoredMLE,
     StepSize,
     preliminary_fit,
@@ -219,12 +216,12 @@ def test_a06_zero_threshold_and_huge_outlier_bound_reductions():
 
     mu = StepSize.constant(0.01)
     lms = LMS(p, mu)
-    aclms = ACLMS(p, mu, 1.0, plan=ThresholdPlan.constant(0.0))
+    aclms = LMS(p, mu, 1.0, plan=ThresholdPlan.constant(0.0))
     rls = RLS(p)
-    acrls = ACRLS(p, sigma=1.0, plan=ThresholdPlan.constant(0.0))
-    gated = ACRLS(p, sigma=1.0, epsilon=1.0, plan=ThresholdPlan.constant(1.0))
-    guarded = RobustACRLS(p, sigma=1.0, tau_out=1e30, epsilon=1.0,
-                          plan=ThresholdPlan.constant(1.0))
+    acrls = RLS(p, sigma=1.0, plan=ThresholdPlan.constant(0.0))
+    gated = RLS(p, epsilon=1.0, sigma=1.0, plan=ThresholdPlan.constant(1.0))
+    guarded = RLS(p, epsilon=1.0, sigma=1.0, tau_out=1e30,
+                  plan=ThresholdPlan.constant(1.0))
 
     dev_lms = dev_rls = dev_rob = 0.0
     for n in range(steps):
@@ -529,7 +526,7 @@ def test_a12_multiply_ledger_exact_and_wall_clock_shrinks():
     plan = ThresholdPlan.ac_offline(p, 0.9)
 
     # Warm the caches (allocator, threshold table) outside the clock.
-    warm_full, warm_gated = RLS(p), ACRLS(p, sigma=1.0, plan=plan)
+    warm_full, warm_gated = RLS(p), RLS(p, sigma=1.0, plan=plan)
     for n in range(500):
         warm_full.step(float(y[n]), X[n])
         warm_gated.step(float(y[n]), X[n])
@@ -540,7 +537,7 @@ def test_a12_multiply_ledger_exact_and_wall_clock_shrinks():
         full.step(float(y[n]), X[n])
     wall_full = time.perf_counter() - t0
 
-    gated = ACRLS(p, sigma=1.0, plan=ThresholdPlan.ac_offline(p, 0.9))
+    gated = RLS(p, sigma=1.0, plan=ThresholdPlan.ac_offline(p, 0.9))
     t0 = time.perf_counter()
     for n in range(D):
         gated.step(float(y[n]), X[n])

@@ -347,12 +347,12 @@ def test_plan_schedule_materialization():
 def test_offline_plan_calibration():
     # Running adaptive-censoring RLS under an offline plan realizes the
     # target ratio within 0.03 at D = 10,000, p = 30.
-    from cendre.estimators import ACRLS
+    from cendre.estimators import RLS
     from cendre.datagen import StreamSpec, generate
 
     pi_star, p, D = 0.6, 30, 10_000
     spec = StreamSpec(p=p, D=D, sigma=1.0, seed=424242)
-    est = ACRLS(p, 1.0, plan=ThresholdPlan.ac_offline(p, pi_star))
+    est = RLS(p, sigma=1.0, plan=ThresholdPlan.ac_offline(p, pi_star))
     for y, x in generate(spec):
         est.step(y, x)
     realized = 1.0 - est.kept_count / D

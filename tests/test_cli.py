@@ -213,6 +213,18 @@ def test_sweep_tau_axis(tmp_path):
     assert {line.split(",")[1] for line in lines[1:]} == {"0.5", "1.0"}
 
 
+def test_sweep_rows_match_run_results(tmp_path):
+    # A one-point sweep writes run's results.csv behind its axis and value.
+    cfg = _run_config(tmp_path, _basic_doc())
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                 "--axis", "tau", "--values", "0.8"]) == 0
+    run_lines = (tmp_path / "run" / "results.csv").read_text().splitlines()
+    sweep_lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",", 2)[2] for line in sweep_lines] == run_lines
+    assert all(line.startswith("tau,0.8,") for line in sweep_lines[1:])
+
+
 def test_sweep_ratio_axis(tmp_path):
     doc = _basic_doc(replicates=1, censor={"kind": "ac-offline", "target_pi": 0.5})
     cfg = _run_config(tmp_path, doc)

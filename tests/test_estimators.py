@@ -14,14 +14,10 @@ import pytest
 from cendre.censor import CensorDecision, ThresholdPlan
 from cendre.errors import ConfigError, DomainError, SingularityError, UsageError
 from cendre.estimators import (
-    ACLMS,
-    ACRLS,
     LMS,
     RLS,
     FirstOrderCensoredMLE,
     PreliminaryFit,
-    RobustACLMS,
-    RobustACRLS,
     SecondOrderCensoredMLE,
     StepSize,
     batch_lse,
@@ -112,7 +108,7 @@ def test_rls_inverse_stays_exact_over_long_run():
     for n in range(1000):
         est.step(y[n], X[n])
     dense = np.linalg.inv(eps * np.eye(20) + X.T @ X)
-    np.testing.assert_allclose(est._P, dense, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(est.P, dense, rtol=1e-8, atol=1e-12)
 
 
 def test_rls_warm_start_block():
@@ -140,7 +136,7 @@ def test_step_matrix_scaling():
     np.testing.assert_allclose(RLS(3, inv_gram0=np.eye(3) / 2.0).C, 2.0 * np.eye(3))
     for n in range(10):
         est.step(y[n], X[n])
-    np.testing.assert_allclose(est.C, 10 * est._P)
+    np.testing.assert_allclose(est.C, 10 * est.P)
 
 
 # ---------------------------------------------------------------------
@@ -150,7 +146,7 @@ def test_step_matrix_scaling():
 def test_zero_threshold_aclms_is_lms():
     X, y, _ = _stream(31, 500, 8)
     mu = StepSize.constant(0.02)
-    plain, gated = LMS(8, mu), ACLMS(8, mu, sigma=1.0)
+    plain, gated = LMS(8, mu), LMS(8, mu, sigma=1.0)
     for n in range(500):
         plain.step(y[n], X[n])
         _, d = gated.step(y[n], X[n], tau=0.0)
@@ -161,21 +157,21 @@ def test_zero_threshold_aclms_is_lms():
 
 def test_zero_threshold_acrls_is_rls():
     X, y, _ = _stream(32, 500, 8)
-    plain, gated = RLS(8, epsilon=0.1), ACRLS(8, sigma=1.0, epsilon=0.1)
+    plain, gated = RLS(8, epsilon=0.1), RLS(8, epsilon=0.1, sigma=1.0)
     for n in range(500):
         plain.step(y[n], X[n])
         gated.step(y[n], X[n], tau=0.0)
     assert float(np.max(np.abs(plain.theta - gated.theta))) <= 1e-12
-    np.testing.assert_array_equal(plain._P, gated._P)
+    np.testing.assert_array_equal(plain.P, gated.P)
 
 
 def test_huge_clip_boundary_recovers_plain_ac():
     X, y, _ = _stream(33, 400, 6)
     tau = 0.8
-    ac = ACRLS(6, sigma=1.0, epsilon=1.0)
-    rac = RobustACRLS(6, sigma=1.0, tau_out=1e30, epsilon=1.0)
+    ac = RLS(6, epsilon=1.0, sigma=1.0)
+    rac = RLS(6, epsilon=1.0, sigma=1.0, tau_out=1e30)
     mu = StepSize.constant(0.05)
-    ac_l, rac_l = ACLMS(6, mu, 1.0), RobustACLMS(6, mu, 1.0, tau_out=1e30)
+    ac_l, rac_l = LMS(6, mu, 1.0), LMS(6, mu, 1.0, tau_out=1e30)
     for n in range(400):
         ac.step(y[n], X[n], tau=tau)
         _, d = rac.step(y[n], X[n], tau=tau)
@@ -233,14 +229,19 @@ def test_sigma_validation():
     with pytest.raises(ConfigError):
         SecondOrderCensoredMLE(fit, 0.0)
     with pytest.raises(ConfigError):
-        ACRLS(2, sigma=-1.0)
+        RLS(2, sigma=-1.0)
+    # A plan or an outlier bound reads sigma; an open gate has none.
+    with pytest.raises(ConfigError):
+        RLS(2, tau_out=3.0)
+    with pytest.raises(ConfigError):
+        LMS(2, StepSize.constant(0.1), plan=ThresholdPlan.constant(1.0))
 
 
 def test_missing_plan_and_tau():
     with pytest.raises(ConfigError):
-        ACRLS(2, sigma=1.0).step(1.0, np.ones(2))
+        RLS(2, sigma=1.0).step(1.0, np.ones(2))
     with pytest.raises(ConfigError):
-        ACLMS(2, StepSize.constant(0.1), 1.0).step(1.0, np.ones(2))
+        LMS(2, StepSize.constant(0.1), 1.0).step(1.0, np.ones(2))
 
 
 # ---------------------------------------------------------------------
@@ -251,7 +252,7 @@ def test_counter_lms_family():
     p, D = 7, 120
     X, y, _ = _stream(41, D, p)
     plain = LMS(p, StepSize.constant(0.01))
-    gated = ACLMS(p, StepSize.constant(0.01), 1.0)
+    gated = LMS(p, StepSize.constant(0.01), 1.0)
     for n in range(D):
         plain.step(y[n], X[n])
         gated.step(y[n], X[n], tau=1.0)
@@ -265,7 +266,7 @@ def test_counter_rls_and_ac_rls():
     p, D = 9, 200
     X, y, _ = _stream(42, D, p)
     plain = RLS(p, epsilon=1.0)
-    gated = ACRLS(p, sigma=1.0, epsilon=1.0)
+    gated = RLS(p, epsilon=1.0, sigma=1.0)
     for n in range(D):
         plain.step(y[n], X[n])
         gated.step(y[n], X[n], tau=1.0)
@@ -281,7 +282,7 @@ def test_counter_online_plan_overhead():
     # 2p^2 + 4p while a censored one totals p^2 + 2p.
     p, D = 6, 150
     X, y, _ = _stream(43, D, p)
-    est = ACRLS(p, sigma=1.0, plan=ThresholdPlan.ac_online(0.5))
+    est = RLS(p, sigma=1.0, plan=ThresholdPlan.ac_online(0.5))
     for n in range(D):
         est.step(y[n], X[n])
     d = est.kept_count
@@ -314,8 +315,8 @@ def test_counter_robust_branches():
     rng = substream(45)
     X = rng.standard_normal((D, p))
     y = rng.standard_normal(D) * 3.0  # fat enough to hit all branches
-    rac = RobustACRLS(p, sigma=1.0, tau_out=2.0, epsilon=1.0)
-    rac_l = RobustACLMS(p, StepSize.constant(0.01), 1.0, tau_out=2.0)
+    rac = RLS(p, epsilon=1.0, sigma=1.0, tau_out=2.0)
+    rac_l = LMS(p, StepSize.constant(0.01), 1.0, tau_out=2.0)
     counts = {"censored": 0, "nominal": 0, "outlier": 0}
     for n in range(D):
         _, dec = rac.step(y[n], X[n], tau=0.5)
@@ -348,11 +349,11 @@ def _snapshot_pairs():
         (FirstOrderCensoredMLE(fit, 1.5, mu), "mle"),
         (SecondOrderCensoredMLE(fit, 1.5), "mle"),
         (LMS(2, mu), "plain"),
-        (ACLMS(2, mu, 1.0), "gated"),
-        (RobustACLMS(2, mu, 1.0, tau_out=3.0), "gated"),
+        (LMS(2, mu, 1.0), "gated"),
+        (LMS(2, mu, 1.0, tau_out=3.0), "gated"),
         (RLS(2, epsilon=0.7), "plain"),
-        (ACRLS(2, sigma=1.0, epsilon=0.7), "gated"),
-        (RobustACRLS(2, sigma=1.0, tau_out=3.0, epsilon=0.7), "gated"),
+        (RLS(2, epsilon=0.7, sigma=1.0), "gated"),
+        (RLS(2, epsilon=0.7, sigma=1.0, tau_out=3.0), "gated"),
     ]
 
 
@@ -369,7 +370,7 @@ def test_snapshot_round_trip_every_kind():
             else:
                 est.step(y[n], X[n], tau=0.5)
         snap = est.snapshot()
-        json.dumps(snap)  # flat scalar document, serializable as-is
+        json.dumps(snap)  # plain JSON document, serializable as-is
         clone = from_snapshot(snap)
         assert type(clone) is type(est)
         for n in range(20, 40):
@@ -385,6 +386,20 @@ def test_snapshot_round_trip_every_kind():
         np.testing.assert_array_equal(est.theta, clone.theta)
         assert est.multiply_count == clone.multiply_count
         assert est.n == clone.n and est.kept_count == clone.kept_count
+
+
+def test_snapshot_document_format():
+    # One document over the state: arrays as nested lists, the step-size
+    # policy as {policy, value}, and no threshold plan.
+    est = RLS(3, epsilon=0.5, sigma=1.0, plan=ThresholdPlan.constant(0.2))
+    est.step(1.0, [1.0, 2.0, 0.0])
+    snap = est.snapshot()
+    assert snap["kind"] == "rls" and "plan" not in snap
+    assert snap["P"] == est.P.tolist() and snap["theta"] == est.theta.tolist()
+    assert snap["epsilon"] == 0.5 and snap["sigma"] == 1.0 and snap["tau_out"] is None
+    lms = LMS(2, StepSize.diminishing(0.3)).snapshot()
+    assert lms["mu"] == {"policy": "diminishing", "value": 0.3}
+    assert from_snapshot(json.loads(json.dumps(lms))).mu == StepSize.diminishing(0.3)
 
 
 def test_snapshot_unknown_kind():
@@ -455,7 +470,7 @@ def test_acrls_with_leverage_plan():
     X, y, _ = _stream(71, 300, 4)
     fit = preliminary_fit(zip(y[:50], X[:50]))
     plan = ThresholdPlan.nac_exact(fit.gram_inv, 0.4)
-    est = ACRLS(4, sigma=1.0, plan=plan)
+    est = RLS(4, sigma=1.0, plan=plan)
     for n in range(50, 300):
         est.step(y[n], X[n])
     assert 0 < est.kept_count < 250
@@ -463,7 +478,7 @@ def test_acrls_with_leverage_plan():
 
 def test_online_plan_tracks_target():
     X, y, _ = _stream(72, 4000, 10)
-    est = ACRLS(10, sigma=1.0, plan=ThresholdPlan.ac_online(0.5))
+    est = RLS(10, sigma=1.0, plan=ThresholdPlan.ac_online(0.5))
     for n in range(4000):
         est.step(y[n], X[n])
     assert 1.0 - est.kept_count / 4000 == pytest.approx(0.5, abs=0.05)
@@ -473,8 +488,7 @@ def test_robust_clamps_warmup_schedule():
     # Early offline-schedule thresholds exceed the clip boundary; the
     # estimator must clamp rather than reject them.
     X, y, _ = _stream(73, 200, 5)
-    est = RobustACRLS(5, sigma=1.0, tau_out=2.0,
-                      plan=ThresholdPlan.ac_offline(5, 0.7))
+    est = RLS(5, sigma=1.0, tau_out=2.0, plan=ThresholdPlan.ac_offline(5, 0.7))
     for n in range(200):
         est.step(y[n], X[n])
     assert est.n == 200

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cendre import harness
 from cendre.datagen import StreamSpec
 from cendre.errors import ConfigError, DomainError
 from cendre.estimators import StepSize
@@ -323,6 +324,32 @@ def test_multipass_dataset(tmp_path):
            "censor": {"kind": "constant", "tau": 0.5}}
     t = run_trial(ExperimentConfig.from_dict(doc), 3)
     assert t.steps == 120
+
+
+def test_dataset_replicates_run_once(tmp_path, monkeypatch):
+    # Every replicate streams the same file through a recursion that draws
+    # no randomness, so replicate 0 runs alone and stands for all seeds.
+    rng = substream(79)
+    X = rng.standard_normal((90, 3))
+    y = X @ np.array([1.0, 0.5, -2.0]) + 0.3 * rng.standard_normal(90)
+    f = tmp_path / "d.csv"
+    f.write_text("a,b,c,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*r, t)) + "\n" for r, t in zip(X, y)))
+    doc = {"schema": 1, "method": "ac-rls", "seed": 4, "replicates": 3,
+           "dataset": {"path": str(f), "target_column": "y"},
+           "censor": {"kind": "ac-offline", "target_pi": 0.5}}
+    one = monte_carlo(ExperimentConfig.from_dict({**doc, "replicates": 1})).traces[0]
+    lockstep_widths = []
+    run_lockstep = harness._run_lockstep
+    monkeypatch.setattr(harness, "_run_lockstep", lambda cfg, seeds, data=None:
+                        lockstep_widths.append(len(seeds)) or run_lockstep(cfg, seeds, data))
+    res = monte_carlo(ExperimentConfig.from_dict(doc))
+    assert lockstep_widths == [1]
+    assert [t.seed for t in res.traces] == [derive(4, r) for r in range(3)]
+    for t in res.traces:
+        for name in ("method", "n", "mse", "rse", "censor_ratio", "multiplies",
+                     "kept_total", "final_theta"):
+            np.testing.assert_array_equal(getattr(t, name), getattr(one, name))
 
 
 # ---------------------------------------------------------------------

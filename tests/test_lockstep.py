@@ -16,8 +16,7 @@ import pytest
 from cendre.censor import ThresholdPlan, nac_decide
 from cendre.datagen import StreamSpec, materialize
 from cendre.errors import DomainError, SingularityError
-from cendre.estimators import (ACLMS, ACRLS, LMS, RLS, FirstOrderCensoredMLE,
-                               RobustACLMS, RobustACRLS, SecondOrderCensoredMLE,
+from cendre.estimators import (LMS, RLS, FirstOrderCensoredMLE, SecondOrderCensoredMLE,
                                StepSize, preliminary_fit)
 from cendre.harness import ExperimentConfig, geometric_schedule, monte_carlo, run_trial
 from cendre.ingest import load_csv, surrogate_truth
@@ -45,12 +44,12 @@ def _scalar_estimator(cfg, p, sigma, prelim):
     if method == "rls":
         return RLS(p, epsilon=cfg.epsilon)
     if method == "ac-lms":
-        return ACLMS(p, mu, sigma, plan=plan)
+        return LMS(p, mu, sigma, plan=plan)
     if method == "rac-lms":
-        return RobustACLMS(p, mu, sigma, cfg.tau_out, plan=plan)
+        return LMS(p, mu, sigma, tau_out=cfg.tau_out, plan=plan)
     if method == "ac-rls":
-        return ACRLS(p, sigma, epsilon=cfg.epsilon, plan=plan)
-    return RobustACRLS(p, sigma, cfg.tau_out, epsilon=cfg.epsilon, plan=plan)
+        return RLS(p, sigma=sigma, epsilon=cfg.epsilon, plan=plan)
+    return RLS(p, sigma=sigma, tau_out=cfg.tau_out, epsilon=cfg.epsilon, plan=plan)
 
 
 def _nac_plan(cfg, prelim):

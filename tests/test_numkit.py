@@ -1,5 +1,5 @@
 """Numerical primitives: Gaussian functions, interval probabilities,
-rank-one inverse updates, the Walsh-Hadamard transform, and RNG
+the Sherman-Morrison step of RLS, the Walsh-Hadamard transform, and RNG
 substreams.  Expected values pinned here were computed from quadrature,
 bisection, and explicit-matrix oracles (see oracles.py); a few
 high-precision constants were frozen from a 40-digit evaluation.
@@ -20,9 +20,9 @@ from cendre.numkit import (
     gauss_q,
     gauss_q_inv,
     interval_log_prob,
-    rank_one_inverse_update,
     substream,
 )
+from cendre.estimators import RLS
 
 import oracles
 
@@ -203,18 +203,22 @@ def test_interval_negative_and_ordered(zl, width):
 
 
 # ---------------------------------------------------------------------
-# rank_one_inverse_update
+# the Sherman-Morrison step of RLS: P <- (P^-1 + w x x')^-1
 # ---------------------------------------------------------------------
 
 def test_rank_one_canonical():
-    out = rank_one_inverse_update(np.eye(4), np.eye(4)[0], 1.0)
-    want = np.diag([0.5, 1.0, 1.0, 1.0])
-    np.testing.assert_allclose(out, want, atol=1e-15)
+    est = RLS(4, inv_gram0=np.eye(4))
+    est.step(1.0, np.eye(4)[0])
+    np.testing.assert_allclose(est.P, np.diag([0.5, 1.0, 1.0, 1.0]), atol=1e-15)
 
 
 def test_rank_one_zero_weight():
+    # A clipped outlier enters with weight 0: theta moves, P does not.
     C = np.array([[2.0, 0.5], [0.5, 1.0]])
-    np.testing.assert_allclose(rank_one_inverse_update(C, [1.0, 2.0], 0.0), C)
+    est = RLS(2, inv_gram0=C, sigma=1.0, tau_out=2.0)
+    _, decision = est.step(10.0, [1.0, 2.0], tau=0.5)
+    assert decision.outlier and np.any(est.theta != 0.0)
+    np.testing.assert_array_equal(est.P, C)
 
 
 def test_rank_one_matches_dense_oracle():
@@ -223,19 +227,17 @@ def test_rank_one_matches_dense_oracle():
         A = rng.standard_normal((p, p))
         C = A @ A.T + p * np.eye(p)
         x = rng.standard_normal(p)
-        for w in (0.7, -0.01, 3.0):
-            got = rank_one_inverse_update(C, x, w)
-            want = oracles.dense_inverse_update(C, x, w)
-            np.testing.assert_allclose(got, want, rtol=1e-8)
-            np.testing.assert_allclose(got, got.T, atol=1e-12 * np.abs(got).max())
+        est = RLS(p, inv_gram0=C)
+        est.step(1.0, x)
+        np.testing.assert_allclose(est.P, oracles.dense_inverse_update(C, x, 1.0), rtol=1e-8)
+        np.testing.assert_allclose(est.P, est.P.T, atol=1e-12 * np.abs(est.P).max())
 
 
 def test_rank_one_singular_denominator():
-    # w x' C x = -1 makes the update blow up.
-    C = np.eye(3)
-    x = np.array([1.0, 0.0, 0.0])
+    # x' P x = -1 makes the update blow up.
+    est = RLS(3, inv_gram0=-np.eye(3))
     with pytest.raises(SingularityError):
-        rank_one_inverse_update(C, x, -1.0)
+        est.step(1.0, np.array([1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------
