@@ -30,9 +30,11 @@ from cendre import (
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="cendre-demo-"))
-    csv_path = workdir / "stream.csv"
+    with tempfile.TemporaryDirectory(prefix="cendre-demo-") as workdir:
+        pipeline(Path(workdir) / "stream.csv")
 
+
+def pipeline(csv_path: Path):
     # Fabricate a table: a synthetic stream written out column-wise.
     spec = StreamSpec(p=6, D=2000, sigma=0.5, seed=99).pinned()
     X, y = materialize(spec)

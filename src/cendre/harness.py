@@ -25,6 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .censor import ThresholdPlan, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize, toeplitz_cov
@@ -543,11 +544,16 @@ class _Lockstep:
     """The R replicates of one streaming method, advanced as one state.
 
     theta is an (R, p) array and, for the second-order recursions, the
-    step matrix P (U for samle2) is (R, p, p).  Each datum gets one
-    vectorized update of all replicates: the gate (none, the NAC interval
-    term, the AC skip, the robust clip) sets a score beta and a weight h
-    per replicate, and the recursion is either theta += mu_n beta x or
-    the Sherman-Morrison step P <- (P^-1 + h x x')^-1, theta += beta P x.
+    step matrix P (U for samle2) is (R, p, p).  The gate (none, the NAC
+    interval term, the AC skip, the robust clip) sets a score beta and a
+    weight h per replicate, and the recursion is either theta += mu_n
+    beta x or the Sherman-Morrison step P <- (P^-1 + h x x')^-1,
+    theta += beta P x.  Where every replicate steps on every datum
+    (samle1, samle2, lms, rls) and for the first-order recursions, a
+    datum is one batched update of all replicates.  Gated RLS (ac-rls,
+    rac-rls) steps only the kept replicates, each P[r] by an in-place
+    BLAS rank-one update; the method alone picks the kernel, so a
+    replicate's trace does not depend on its company.
 
     NAC decisions against the fixed preliminary fits are taken a panel at
     a time.  AC censored steps move neither theta nor P, so the
@@ -586,23 +592,40 @@ class _Lockstep:
 
     # -- the recursion ----------------------------------------------------
 
-    def update(self, x, beta, h=None) -> None:
-        """One recursion step of every replicate (h = 1 when None).  A
-        replicate the gate holds back comes with x and beta zeroed, which
-        leaves its state exactly as it was."""
+    def update(self, x, beta, h=None, take=None) -> None:
+        """One recursion step (h = 1 when None) of every replicate, or of
+        those `take` marks.  The first-order step zeroes x and beta of a
+        replicate held back, which leaves its theta exactly as it was.
+        The second-order step is batched without `take`; with it, Px and
+        the denominators come from one batched product, then each kept
+        P[r] gets an in-place BLAS rank-one update (none for a clipped
+        outlier, h = 0) and the other rows are never written."""
         theta, P = self.theta, self.P
         if self.mu is not None:
+            if take is not None:
+                beta, x = np.where(take, beta, 0.0), np.where(take[:, None], x, 0.0)
             theta += (self.mu.at(self.n) * beta)[:, None] * x
             return
         v = np.matmul(P, x[:, :, None])[:, :, 0]
         s = np.einsum("rp,rp->r", x, v)
         denom = 1.0 + (s if h is None else h * s)
-        if np.abs(denom).min() < _SINGULAR_TOL:
+        rows = slice(None) if take is None else np.flatnonzero(take)
+        d = denom[rows]
+        if (np.abs(d) < _SINGULAR_TOL).any():
             raise SingularityError("information update denominator vanished"
                                    if self.method == "samle2" else "update denominator vanished")
-        k = v * (1.0 / denom)[:, None]
-        P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
-        theta += beta[:, None] * k
+        k = v[rows] * (1.0 / d)[:, None]  # the updated P times x
+        theta[rows] += beta[rows, None] * k
+        if take is None:
+            P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
+            return
+        for r, kr in zip(rows.tolist(), k[:, None, :]):
+            if h is None or h[r]:  # h is 1, or 0 for a clipped outlier
+                # P[r] -= k v' as a gemm of inner dimension 1, which OpenBLAS
+                # keeps on one thread here; it threads dger at p = 200, and
+                # waking its threads at every kept datum made bench-large.json
+                # twice as slow on two cores.
+                dgemm(-1.0, v[r, :, None], kr, 1.0, self.P_fortran[r], overwrite_c=1)
 
     def _record_at_mark(self) -> None:
         if self.n == self.next_mark:
@@ -642,6 +665,8 @@ class _Lockstep:
             if eps is None:
                 eps = default_ridge(X[0], self.plan, self.tau_out)
             self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
+            # P[r].T is a Fortran-order view, which BLAS updates in place.
+            self.P_fortran = list(self.P.transpose(0, 2, 1))
         offline = self.plan is not None and not self.online
         panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + len(Y))[:, None] if offline else None
         i = 0
@@ -675,17 +700,15 @@ class _Lockstep:
             self.n += 1
             self.events += 1
             i += 1
-            beta, x, h = E[j], Xb[j], None
+            beta, x, h, take = E[j], Xb[j], None, None
             if self.gated:
                 take = hit[j]
                 if self.tau_out is not None:
-                    beta, h = self._clip(beta, np.broadcast_to(tau, (B, R))[j], take)
-                beta = np.where(take, beta, 0.0)
-                x = np.where(take[:, None], x, 0.0)
+                    beta, h = self._clip(beta, tau if np.ndim(tau) == 0 else tau[j], take)
                 self.kept += take
             else:
                 self.kept += 1
-            self.update(x, beta, h)
+            self.update(x, beta, h, take)
             self._record_at_mark()
 
     def _clip(self, e, tau, take):
@@ -694,7 +717,8 @@ class _Lockstep:
         finite = np.isfinite(e)
         if not finite.all():
             r = int(finite.argmin())
-            robust_decide(float(e[r]), self.sigma, float(tau[r]), self.tau_out)
+            robust_decide(float(e[r]), self.sigma, float(np.broadcast_to(tau, e.shape)[r]),
+                          self.tau_out)
         bound = self.tau_out * self.sigma
         out = take & (np.abs(e) >= bound)
         self.clipped += out

@@ -9,10 +9,12 @@ estimate to 1e-10 and its kept counts and multiply ledger exactly.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cendre import harness
 from cendre.censor import ThresholdPlan, nac_decide
 from cendre.datagen import StreamSpec, materialize
 from cendre.errors import DomainError, SingularityError
@@ -196,6 +198,15 @@ def test_lockstep_breakdown_names_the_step():
         run_trial(cfg, 7, data=(X, y))
     assert str(lockstep.value) == str(scalar.value) == \
         "rls broke down at step 2: update denominator vanished"
+    # A zero threshold keeps every datum, so the gated method breaks down at
+    # the same step, through the kernel that steps only the kept rows.
+    cfg = replace(cfg, method="ac-rls", censor={"kind": "constant", "tau": 0.0})
+    with pytest.raises(SingularityError) as scalar:
+        scalar_trial(cfg, X, y, cfg.stream.pinned().theta, 1.0)
+    with pytest.raises(SingularityError) as lockstep:
+        run_trial(cfg, 7, data=(X, y))
+    assert str(lockstep.value) == str(scalar.value) == \
+        "ac-rls broke down at step 2: update denominator vanished"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -218,3 +229,59 @@ def test_lockstep_non_finite_input_behaves_as_scalar(case, bad):
     np.testing.assert_array_equal(trace.censor_ratio, want["ratio"])
     np.testing.assert_allclose(trace.mse, want["mse"], rtol=TOL, atol=TOL)
     np.testing.assert_allclose(trace.final_theta, want["theta"], rtol=TOL, atol=TOL)
+
+
+GATED_RLS = [c for c in CASES if c[0] in ("ac-rls", "rac-rls")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", GATED_RLS, ids=[_ids(c) for c in GATED_RLS])
+def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where):
+    # Replicate 1 of 3 gets one non-finite datum.  The kept-row kernel
+    # computes Px from every row's x, so a write to a row that does not
+    # step would carry the NaN into the other replicates.
+    cfg = _stream_cfg(*case)
+    spec = cfg.stream.pinned()
+    seeds = [derive(cfg.seed, r) for r in range(R)]
+    at = 57
+
+    def damage(X, y, i):
+        X, y = X.copy(), y.copy()
+        if where == "x":
+            X[i, 2] = bad
+        else:
+            y[i] = bad
+        return X, y
+
+    real_generate = harness.generate
+
+    def generate(s, panels=False):
+        start = 0
+        for Y, X in real_generate(s, panels=panels):
+            if s.seed == seeds[1] and start <= at < start + len(Y):
+                X, Y = damage(X, Y, at - start)
+            start += len(Y)
+            yield Y, X
+
+    monkeypatch.setattr(harness, "generate", generate)
+    X, y = damage(*materialize(spec.with_seed(seeds[1])), at)
+    try:
+        want = scalar_trial(cfg, X, y, spec.theta, spec.sigma)
+    except DomainError as exc:
+        # With tau_out the robust rule raises on the damaged innovation,
+        # and that ends the whole run, with the replicate's own tau.
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            monte_carlo(cfg)
+        return
+    res = monte_carlo(cfg)
+    damaged = res.traces[1]
+    np.testing.assert_array_equal(damaged.multiplies, want["mult"])
+    np.testing.assert_array_equal(damaged.censor_ratio, want["ratio"])
+    np.testing.assert_allclose(damaged.mse, want["mse"], rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(damaged.final_theta, want["theta"], rtol=TOL, atol=TOL)
+    for r in (0, 2):
+        alone = run_trial(cfg, seeds[r])
+        for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            np.testing.assert_array_equal(getattr(alone, field), getattr(res.traces[r], field))
