@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
+_PANEL = 1024  # rows per block of a stream held in memory
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,12 +442,16 @@ class SecondOrderCensoredMLE(RLS):
 # ---------------------------------------------------------------------
 
 
-def kaczmarz_run(X, y, iters: int, seed: int, callback=None) -> np.ndarray:
+def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
     """Randomized Kaczmarz sweep with energy-proportional row sampling.
 
     Row i is drawn with probability ||x_i||^2 / ||X||_F^2 and theta is
     projected onto its hyperplane.  Deterministic given seed.  The
     optional callback(k, theta) observes the iterate after draw k.
+
+    seed is one seed, giving a (p,) iterate, or a sequence of R seeds,
+    giving an (R, p) iterate whose row r is bitwise the sweep of seed r
+    alone: all R sweeps draw in lockstep, one batched projection per draw.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -454,14 +459,27 @@ def kaczmarz_run(X, y, iters: int, seed: int, callback=None) -> np.ndarray:
     if np.any(norms_sq == 0.0):
         raise DomainError("kaczmarz_run requires no zero rows")
     probs = norms_sq / norms_sq.sum()
-    rng = substream(seed)
-    draws = rng.choice(X.shape[0], size=int(iters), p=probs)
-    theta = np.zeros(X.shape[1], dtype=np.float64)
-    for k, i in enumerate(draws, start=1):
-        row = X[i]
-        theta += ((y[i] - float(row @ theta)) / norms_sq[i]) * row
-        if callback is not None:
-            callback(k, theta)
+    single = np.ndim(seed) == 0
+    draws = np.stack([substream(s).choice(X.shape[0], size=int(iters), p=probs)
+                      for s in ([seed] if single else seed)], axis=1)
+    theta = np.zeros((draws.shape[1], X.shape[1]), dtype=np.float64)
+    if single:
+        # The 1-D arithmetic of one sweep: x'theta is a scalar dot.
+        draws, theta = draws[:, 0], theta[0]
+        state = col = theta
+    else:
+        # Replicate r's x'theta is the (1, p) @ (p, 1) product of its
+        # own row and iterate, the same dot as the single sweep's.
+        state, col = theta[:, None, :], theta[:, :, None]
+    for a in range(0, draws.shape[0], _PANEL):
+        picked = draws[a:a + _PANEL]
+        rows, resp, energy = X[picked], y[picked], norms_sq[picked]
+        if not single:
+            rows, resp, energy = rows[:, :, None], resp[..., None, None], energy[..., None, None]
+        for k, (row, y_k, e_k) in enumerate(zip(rows, resp, energy), start=a + 1):
+            state += ((y_k - row @ col) / e_k) * row
+            if callback is not None:
+                callback(k, theta)
     return theta
 
 

@@ -30,7 +30,8 @@ from scipy.linalg.blas import dgemm
 from .censor import ThresholdPlan, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize, toeplitz_cov
 from .errors import ConfigError, DomainError, SingularityError
-from .estimators import _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run, preliminary_fit
+from .estimators import (_PANEL, _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run,
+                         preliminary_fit)
 from .ingest import load_csv, surrogate_truth
 from .likelihood import score_info
 from .numkit.gaussian import gauss_pdf, gauss_q, gauss_q_inv
@@ -390,9 +391,6 @@ def _replicate_panels(cfg: ExperimentConfig, seeds, data=None):
     return _drawn_panels(spec, seeds), spec.D, spec.theta, spec.sigma
 
 
-_PANEL = 1024  # rows per block of a stream held in memory
-
-
 def _broadcast_panels(X, y, R: int):
     for a in range(0, len(y), _PANEL):
         ya, Xa = y[a:a + _PANEL], X[a:a + _PANEL]
@@ -469,7 +467,7 @@ def run_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTra
     if cfg.method in BATCH_METHODS:
         return _run_batch_trial(cfg, replicate_seed, data)
     if cfg.method == "kaczmarz":
-        return _run_kaczmarz_trial(cfg, replicate_seed, data)
+        return _run_kaczmarz(cfg, [replicate_seed], data)[0]
     return _run_lockstep(cfg, [replicate_seed], data)[0]
 
 
@@ -760,25 +758,28 @@ def _multiplies(method: str, p: int, n, kept, clipped, online: bool):
     return n * every + (kept - clipped) * nominal + clipped * outlier
 
 
-def _run_kaczmarz_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
-    X, y, theta_o, _ = _source_arrays(cfg, replicate_seed, data)
+def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
+    """Kaczmarz traces of seeds.  On a dataset every seed sweeps the same
+    rows, so all of them draw in lockstep in one kaczmarz_run; a synthetic
+    stream is drawn per seed, so each seed sweeps its own."""
+    if cfg.dataset_path is None and len(seeds) > 1:
+        return [_run_kaczmarz(cfg, [s])[0] for s in seeds]
+    X, y, theta_o, _ = _source_arrays(cfg, seeds[0], data)
     D, p = X.shape
-    marks = _schedule_for(cfg, D)
-    mark_set = set(marks)
-    mses, mults, out_marks = [], [], []
-    setup = D * p  # row-energy table
+    mark_set = set(_schedule_for(cfg, D))
+    marks, mses = [], []
 
     def observe(k, theta):
         if k in mark_set:
             err = theta - theta_o
-            out_marks.append(k)
-            mses.append(float(err @ err))
-            mults.append(setup + k * (2 * p + 1))
+            marks.append(k)
+            mses.append(np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0])
 
-    final = kaczmarz_run(X, y, iters=D, seed=replicate_seed, callback=observe)
-    ratios = [0.0] * len(out_marks)
-    return _trace(cfg, replicate_seed, out_marks, mses, ratios, mults,
-                  theta_o, D, final)
+    final = kaczmarz_run(X, y, iters=D, seed=seeds, callback=observe)
+    mults = [D * p + k * (2 * p + 1) for k in marks]  # row-energy table, then 2p+1 a draw
+    ratios = [0.0] * len(marks)
+    return [_trace(cfg, s, marks, [m[r] for m in mses], ratios, mults, theta_o, D, final[r])
+            for r, s in enumerate(seeds)]
 
 
 def _run_batch_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
@@ -855,14 +856,18 @@ def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     vectorized step per datum; each replicate's trace is the one
     run_trial gives it alone.  On a dataset every replicate streams the
     same data through a recursion that draws no randomness, so replicate
-    0 runs once and its trace stands for every seed.  Batch methods and
-    kaczmarz run replicate by replicate.  Aggregation is by replicate
-    index.
+    0 runs once and its trace stands for every seed.  Kaczmarz replicates
+    on a dataset draw their rows in lockstep too, one (R, p) projection
+    per draw; on a synthetic stream each replicate sweeps its own data.
+    Batch methods run replicate by replicate.  Aggregation is by
+    replicate index.
     """
     seeds = [derive(cfg.seed, r) for r in range(cfg.replicates)]
     if cfg.method in STREAM_METHODS:
         traces = _run_lockstep(cfg, seeds[:1] if cfg.dataset_path is not None else seeds)
         traces += [replace(traces[0], seed=s) for s in seeds[len(traces):]]
+    elif cfg.method == "kaczmarz":
+        traces = _run_kaczmarz(cfg, seeds)
     else:
         traces = [run_trial(cfg, s) for s in seeds]
 

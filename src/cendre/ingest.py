@@ -71,8 +71,9 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
         Skip (and log) rows that still fail to parse after column
         drops, instead of raising with the row number.
     standardize : bool
-        Center and scale each feature column to unit sample standard
-        deviation; logged, off by default.
+        Center each feature column and scale it to unit population
+        standard deviation (divided by D, not D - 1); logged, off by
+        default.
     """
     path = Path(path)
     log: list[str] = []
@@ -101,7 +102,7 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
             raise ConfigError(
                 f"target column {target_column!r} not found among {names}") from None
 
-    parsed: list[list[float | None]] = []
+    good = []
     for i, row in enumerate(body):
         line_no = i + 2 if header else i + 1
         if len(row) != width:
@@ -109,34 +110,45 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
                 log.append(f"skipped row {line_no}: expected {width} fields, got {len(row)}")
                 continue
             raise DomainError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
-        parsed.append([_parse_cell(c) for c in row])
+        good.append(row)
 
     feature_idx = [j for j in range(width) if j != target_idx]
-    if drop_non_numeric:
-        bad = [j for j in feature_idx
-               if any(vals[j] is None for vals in parsed)]
-        for j in bad:
-            log.append(f"dropped non-numeric column {names[j]!r}")
-        feature_idx = [j for j in feature_idx if j not in bad]
-        if not feature_idx:
-            raise DomainError(f"{path}: no numeric feature columns left")
+    # One parse in C with float()'s rules.  Only a body holding a cell
+    # that float() rejects or reads as non-finite goes cell by cell.
+    try:
+        data = np.array(good, dtype=np.float64)
+    except ValueError:
+        data = None
+    if good and data is not None and np.isfinite(data).all():
+        # A C-ordered copy: the layout the cell-by-cell path builds.
+        data = np.ascontiguousarray(data[:, feature_idx + [target_idx]])
+    else:
+        parsed = [[_parse_cell(c) for c in row] for row in good]
+        if drop_non_numeric:
+            bad = [j for j in feature_idx
+                   if any(vals[j] is None for vals in parsed)]
+            for j in bad:
+                log.append(f"dropped non-numeric column {names[j]!r}")
+            feature_idx = [j for j in feature_idx if j not in bad]
+            if not feature_idx:
+                raise DomainError(f"{path}: no numeric feature columns left")
 
-    keep_idx = feature_idx + [target_idx]
-    clean: list[list[float]] = []
-    for i, vals in enumerate(parsed):
-        picked = [vals[j] for j in keep_idx]
-        if any(v is None for v in picked):
-            j = keep_idx[picked.index(None)]
-            line = f"row with non-numeric value in column {names[j]!r}"
-            if skip_bad_rows:
-                log.append(f"skipped {line}")
-                continue
-            raise DomainError(f"{path}: {line}")
-        clean.append(picked)
+        keep_idx = feature_idx + [target_idx]
+        clean: list[list[float]] = []
+        for vals in parsed:
+            picked = [vals[j] for j in keep_idx]
+            if any(v is None for v in picked):
+                j = keep_idx[picked.index(None)]
+                line = f"row with non-numeric value in column {names[j]!r}"
+                if skip_bad_rows:
+                    log.append(f"skipped {line}")
+                    continue
+                raise DomainError(f"{path}: {line}")
+            clean.append(picked)
 
-    if not clean:
-        raise DomainError(f"{path}: no usable rows")
-    data = np.asarray(clean, dtype=np.float64)
+        if not clean:
+            raise DomainError(f"{path}: no usable rows")
+        data = np.asarray(clean, dtype=np.float64)
     design = data[:, :-1]
     response = data[:, -1]
     column_names = [names[j] for j in feature_idx]

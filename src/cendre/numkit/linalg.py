@@ -31,10 +31,10 @@ def fwht_in_place(v):
     h = 1
     while h < n:
         blocks = work.reshape(n // (2 * h), 2, h, -1)
-        top = blocks[:, 0].copy()
-        blocks[:, 0] += blocks[:, 1]
-        blocks[:, 1] *= -1.0
-        blocks[:, 1] += top
+        top, bottom = blocks[:, 0], blocks[:, 1]
+        diff = top - bottom
+        top += bottom
+        bottom[...] = diff
         h *= 2
     if not np.shares_memory(work, v):
         v[...] = work.reshape(v.shape)

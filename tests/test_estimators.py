@@ -438,6 +438,29 @@ def test_kaczmarz_rejects_zero_rows():
     X = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
         kaczmarz_run(X, np.ones(2), iters=5, seed=1)
+    with pytest.raises(DomainError):
+        kaczmarz_run(X, np.ones(2), iters=5, seed=[1, 2])
+
+
+def test_kaczmarz_lockstep_rows_are_single_sweeps():
+    # 2,500 draws cross two blocks of gathered rows.
+    rng = substream(63)
+    X = rng.standard_normal((40, 5))
+    y = X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
+    seeds = [3, 11, 4]
+    seen = []
+    got = kaczmarz_run(X, y, iters=2_500, seed=seeds,
+                       callback=lambda k, th: seen.append((k, th.copy())))
+    assert got.shape == (3, 5)
+    assert [k for k, _ in seen] == list(range(1, 2_501))
+    assert all(th.shape == (3, 5) for _, th in seen)
+    np.testing.assert_array_equal(seen[-1][1], got)
+    for r, s in enumerate(seeds):
+        alone = []
+        want = kaczmarz_run(X, y, iters=2_500, seed=s,
+                            callback=lambda k, th: alone.append(th.copy()))
+        np.testing.assert_array_equal(got[r], want)
+        np.testing.assert_array_equal(np.stack([th[r] for _, th in seen]), np.stack(alone))
 
 
 def test_regret_hand_case():

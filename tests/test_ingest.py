@@ -1,5 +1,6 @@
 """CSV pipeline: parsing policies, provenance, and the surrogate fit."""
 
+import csv
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from cendre.errors import ConfigError, DomainError
 from cendre.ingest import (
     Dataset,
+    _parse_cell,
     load_csv,
     sidecar_path,
     surrogate_truth,
@@ -92,6 +94,58 @@ def test_unparseable_target_not_droppable(tmp_path):
         load_csv(f, "y", drop_non_numeric=True)
     ds = load_csv(f, "y", drop_non_numeric=True, skip_bad_rows=True)
     assert ds.D == 3
+
+
+def test_vectorized_parse_keeps_the_cell_by_cell_layout(tmp_path):
+    # A non-numeric column sends the body cell by cell; dropped, it leaves
+    # the clean file's data, which one vectorized parse reads.  The target
+    # sits mid-row, so both paths reorder the columns.
+    rng = substream(9)
+    vals = rng.standard_normal((40, 3))
+    clean = "a,y,b\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in vals)
+    noisy = "a,y,b,note\n" + "".join(",".join(repr(float(v)) for v in row) + ",x\n"
+                                     for row in vals)
+    fast = load_csv(_write(tmp_path, clean), "y")
+    slow = load_csv(_write(tmp_path, noisy, "noisy.csv"), "y", drop_non_numeric=True)
+    assert slow.provenance["log"] == ["dropped non-numeric column 'note'"]
+    np.testing.assert_array_equal(fast.design, vals[:, [0, 2]])
+    for name in ("design", "response"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.strides == b.strides
+        assert a.flags == b.flags
+
+
+UNPARSEABLE = ["inf", "nan", "", "abc", '"1,5"']
+ACCEPTED = {" 2 ": 2.0, "1_0": 10.0, '"3"': 3.0}
+POLICIES = [{}, {"drop_non_numeric": True}, {"skip_bad_rows": True}]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["default", "drop", "skip"])
+@pytest.mark.parametrize("cell", UNPARSEABLE + list(ACCEPTED))
+def test_cell_rule_under_each_policy(tmp_path, cell, policy):
+    f = _write(tmp_path, f"a,b,y\n1,{cell},3\n4,5,6\n7,8,10\n-1,0,2\n0,1,1\n")
+    text = next(csv.reader([cell]))[0] if cell else ""
+    if cell in ACCEPTED:
+        assert _parse_cell(text) == ACCEPTED[cell]
+        ds = load_csv(f, "y", **policy)
+        assert ds.design[0, 1] == ACCEPTED[cell]
+        assert (ds.D, ds.p, ds.provenance["log"]) == (5, 2, [])
+        return
+    assert _parse_cell(text) is None
+    if not policy:
+        with pytest.raises(DomainError, match="non-numeric value in column 'b'"):
+            load_csv(f, "y")
+        return
+    ds = load_csv(f, "y", **policy)
+    if "drop_non_numeric" in policy:
+        assert (ds.D, ds.column_names) == (5, ["a"])
+        assert ds.provenance["log"] == ["dropped non-numeric column 'b'"]
+    else:
+        assert (ds.D, ds.column_names) == (4, ["a", "b"])
+        assert ds.provenance["log"] == ["skipped row with non-numeric value in column 'b'"]
+        np.testing.assert_array_equal(ds.response, [6.0, 10.0, 2.0, 1.0])
 
 
 def test_standardize(tmp_path):

@@ -19,7 +19,7 @@ from cendre.censor import ThresholdPlan, nac_decide
 from cendre.datagen import StreamSpec, materialize
 from cendre.errors import DomainError, SingularityError
 from cendre.estimators import (LMS, RLS, FirstOrderCensoredMLE, SecondOrderCensoredMLE,
-                               StepSize, preliminary_fit)
+                               StepSize, kaczmarz_run, preliminary_fit)
 from cendre.harness import ExperimentConfig, geometric_schedule, monte_carlo, run_trial
 from cendre.ingest import load_csv, surrogate_truth
 from cendre.numkit import derive, substream
@@ -183,6 +183,49 @@ def test_lockstep_dataset_two_passes(tmp_path, method):
     assert res.traces[0].steps == 600 - (20 if method == "samle2" else 0)
     for trace in res.traces:
         assert_matches(trace, want)
+
+
+@pytest.mark.parametrize("source", ["dataset", "stream"])
+def test_kaczmarz_monte_carlo_matches_single_seed_sweeps(tmp_path, source):
+    # On a dataset all replicates draw in one lockstep kaczmarz_run; a
+    # synthetic stream gives each replicate its own data and sweep.
+    if source == "dataset":
+        rng = substream(405)
+        X = rng.standard_normal((300, 3))
+        y = X @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(300)
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c,y\n" + "".join(
+            ",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(X, y)))
+        cfg = ExperimentConfig.from_dict(
+            {"schema": 1, "method": "kaczmarz", "seed": 2, "replicates": R, "passes": 2,
+             "dataset": {"path": str(path), "target_column": "y"}})
+        ds = load_csv(path, "y")
+        theta_o, _ = surrogate_truth(ds)
+        data = lambda seed: (np.tile(ds.design, (2, 1)), np.tile(ds.response, 2))
+    else:
+        cfg = _stream_cfg("kaczmarz")
+        spec = cfg.stream.pinned()
+        theta_o = spec.theta
+        data = lambda seed: materialize(spec.with_seed(seed))
+    res = monte_carlo(cfg)
+    for r, trace in enumerate(res.traces):
+        seed = derive(cfg.seed, r)
+        assert trace.seed == seed
+        alone = run_trial(cfg, seed)
+        for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            np.testing.assert_array_equal(getattr(alone, field), getattr(trace, field))
+        # The error curve is the scalar sweep's, bitwise.
+        marks, mse = set(trace.n.tolist()), []
+
+        def observe(k, theta):
+            if k in marks:
+                err = theta - theta_o
+                mse.append(float(err @ err))
+
+        X, y = data(seed)
+        final = kaczmarz_run(X, y, iters=len(y), seed=seed, callback=observe)
+        np.testing.assert_array_equal(trace.mse, mse)
+        np.testing.assert_array_equal(trace.final_theta, final)
 
 
 def test_lockstep_breakdown_names_the_step():
