@@ -209,12 +209,11 @@ def _axis_configs(cfg: ExperimentConfig, axis: str, values: list[str]):
     """One (label, config) per axis point."""
     if not values:
         raise ConfigError("--values is empty")
-    base = cfg.to_dict()
     points = []
     if axis == "tau":
         for text in values:
             tau = _axis_float(text, axis)
-            doc = json.loads(json.dumps(base))
+            doc = cfg.to_dict()
             doc["censor"] = {"kind": "constant", "tau": tau}
             points.append((text, ExperimentConfig.from_dict(doc)))
     elif axis == "ratio":
@@ -222,7 +221,7 @@ def _axis_configs(cfg: ExperimentConfig, axis: str, values: list[str]):
             ratio = _axis_float(text, axis)
             if not 0.0 < ratio <= 1.0:
                 raise ConfigError(f"ratio {ratio} outside (0, 1]")
-            doc = json.loads(json.dumps(base))
+            doc = cfg.to_dict()
             if cfg.method in BATCH_METHODS:
                 doc["ratio"] = ratio
             elif cfg.method in AC_METHODS:
@@ -238,7 +237,7 @@ def _axis_configs(cfg: ExperimentConfig, axis: str, values: list[str]):
         for name in values:
             if name not in ALL_METHODS:
                 raise ConfigError(f"unknown method {name!r} in --values")
-            doc = json.loads(json.dumps(base))
+            doc = cfg.to_dict()
             doc["method"] = name
             if name not in AC_METHODS + ("samle1", "samle2"):
                 doc.pop("censor", None)
@@ -291,30 +290,20 @@ def _cmd_bench(args) -> int:
     report["d"] = d
     report["ratio"] = d / cfg.stream.D
 
-    base = cfg.to_dict()
-
-    def entry(trace, secs):
-        return {"wall_seconds": secs, "multiplies": int(trace.multiplies[-1]),
-                "final_mse": float(trace.mse[-1])}
-
-    report["methods"][cfg.method] = entry(ac_trace, ac_secs)
-
-    rls_doc = json.loads(json.dumps(base))
-    rls_doc["method"] = "rls"
-    rls_doc.pop("censor", None)
-    rls_doc.get("estimator", {}).pop("tau_out", None)
-    rls_trace, rls_secs = _timed_trial(ExperimentConfig.from_dict(rls_doc), seed, data)
-    report["methods"]["rls"] = entry(rls_trace, rls_secs)
-
-    for name in BATCH_METHODS:
-        doc = json.loads(json.dumps(base))
-        doc["method"] = name
-        doc.pop("censor", None)
-        doc.get("estimator", {}).pop("tau_out", None)
-        doc["ratio"] = max(d, cfg.stream.p) / cfg.stream.D
-        trace, secs = _timed_trial(ExperimentConfig.from_dict(doc), seed, data)
-        report["methods"][name] = entry(trace, secs)
-
+    for name in (cfg.method, "rls", *BATCH_METHODS):
+        if name == cfg.method:
+            trace, secs = ac_trace, ac_secs
+        else:  # the same stream without the gate, or sketched to d rows
+            doc = cfg.to_dict()
+            doc["method"] = name
+            doc.pop("censor", None)
+            doc.get("estimator", {}).pop("tau_out", None)
+            if name in BATCH_METHODS:
+                doc["ratio"] = max(d, cfg.stream.p) / cfg.stream.D
+            trace, secs = _timed_trial(ExperimentConfig.from_dict(doc), seed, data)
+        report["methods"][name] = {"wall_seconds": secs, "multiplies": int(trace.multiplies[-1]),
+                                   "final_mse": float(trace.mse[-1])}
+    rls_secs = report["methods"]["rls"]["wall_seconds"]
     report["speedup_vs_rls"] = rls_secs / ac_secs if ac_secs > 0 else float("inf")
     out_path = args.out / "bench.json"
     with open(out_path, "w") as fh:

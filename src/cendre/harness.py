@@ -378,24 +378,17 @@ def _replicate_panels(cfg: ExperimentConfig, seeds, data=None):
     """(panels, total, theta_o, sigma) for all replicates side by side.
 
     panels yields (y, X) blocks of consecutive data shaped (m, R) and
-    (m, R, p).  A dataset, or data already drawn, is the same for every
-    replicate and is broadcast, not copied.  Synthetic streams are drawn
-    panel by panel into one buffer that every block overwrites, so one
-    panel per replicate is alive at a time.
+    (m, R, p).  A dataset, or data already drawn, is one replicate's and
+    is sliced, not copied.  Synthetic streams are drawn panel by panel
+    into one buffer that every block overwrites, so one panel per
+    replicate is alive at a time.
     """
-    R = len(seeds)
     if cfg.dataset_path is not None or data is not None:
         X, y, theta_o, sigma = _source_arrays(cfg, seeds[0], data)
-        return _broadcast_panels(X, y, R), len(y), theta_o, sigma
+        panels = ((y[a:a + _PANEL, None], X[a:a + _PANEL, None]) for a in range(0, len(y), _PANEL))
+        return panels, len(y), theta_o, sigma
     spec = cfg.stream.pinned()
     return _drawn_panels(spec, seeds), spec.D, spec.theta, spec.sigma
-
-
-def _broadcast_panels(X, y, R: int):
-    for a in range(0, len(y), _PANEL):
-        ya, Xa = y[a:a + _PANEL], X[a:a + _PANEL]
-        yield (np.broadcast_to(ya[:, None], (ya.size, R)),
-               np.broadcast_to(Xa[:, None], (ya.size, R, Xa.shape[1])))
 
 
 def _drawn_panels(spec: StreamSpec, seeds):
@@ -431,30 +424,18 @@ def _resolve_mu(cfg: ExperimentConfig, sigma: float) -> StepSize:
     raise ConfigError(f"field 'estimator.mu' is required for method {cfg.method!r}")
 
 
-def _constant_tau(cfg: ExperimentConfig) -> float | None:
-    if cfg.censor is not None and cfg.censor["kind"] == "constant":
-        return float(cfg.censor["tau"])
-    return None
-
-
-def _ac_plan(cfg: ExperimentConfig, p: int) -> ThresholdPlan | None:
-    kind = cfg.censor["kind"]
+def _plan(cfg: ExperimentConfig, p: int, prelim=None) -> ThresholdPlan:
+    """The threshold plan of a censored config; prelim is the NAC warm-up fit."""
+    kind, pi = cfg.censor["kind"], cfg.censor.get("target_pi")
     if kind == "constant":
-        return None
-    pi = cfg.censor["target_pi"]
+        return ThresholdPlan.constant(float(cfg.censor["tau"]))
+    if kind == "nac-exact":
+        return ThresholdPlan.nac_exact(prelim.gram_inv, pi)
+    if kind == "nac-clt":
+        return ThresholdPlan.nac_clt(p, prelim.K, pi)
     if kind == "ac-online":
         return ThresholdPlan.ac_online(pi)
     return ThresholdPlan.ac_offline(p, pi)
-
-
-def _nac_plan(cfg: ExperimentConfig, prelim) -> ThresholdPlan:
-    kind = cfg.censor["kind"]
-    if kind == "constant":
-        return ThresholdPlan.constant(float(cfg.censor["tau"]))
-    pi = cfg.censor["target_pi"]
-    if kind == "nac-exact":
-        return ThresholdPlan.nac_exact(prelim.gram_inv, pi)
-    return ThresholdPlan.nac_clt(prelim.theta.shape[0], prelim.K, pi)
 
 
 def run_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
@@ -498,9 +479,8 @@ def _schedule_for(cfg: ExperimentConfig, N: int) -> tuple[int, ...]:
 def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
     """Run every replicate of a streaming method as one state (see _Lockstep)."""
     panels, total, theta_o, sigma = _replicate_panels(cfg, seeds, data)
-    if cfg.method in NAC_METHODS or cfg.method in AC_METHODS:
-        if sigma <= 0.0:
-            raise ConfigError("censoring rules need a positive noise scale sigma")
+    if cfg.method in NAC_METHODS + AC_METHODS and sigma <= 0.0:
+        raise ConfigError("censoring rules need a positive noise scale sigma")
     prelims = None
     if cfg.method in NAC_METHODS:
         if total < cfg.K:
@@ -510,10 +490,7 @@ def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
     run = _Lockstep(cfg, len(seeds), theta_o, sigma, prelims, marks)
     advance = run.nac_panel if prelims else run.ac_panel
     for Y, X in panels:
-        try:
-            advance(Y, X)
-        except SingularityError as exc:
-            raise SingularityError(f"{cfg.method} broke down at step {run.n}: {exc}") from exc
+        advance(Y, X)
     return run.traces(cfg, seeds)
 
 
@@ -541,25 +518,23 @@ def _warm_up(panels, K: int, R: int):
 class _Lockstep:
     """The R replicates of one streaming method, advanced as one state.
 
-    theta is an (R, p) array and, for the second-order recursions, the
-    step matrix P (U for samle2) is (R, p, p).  The gate (none, the NAC
-    interval term, the AC skip, the robust clip) sets a score beta and a
-    weight h per replicate, and the recursion is either theta += mu_n
-    beta x or the Sherman-Morrison step P <- (P^-1 + h x x')^-1,
-    theta += beta P x.  Where every replicate steps on every datum
-    (samle1, samle2, lms, rls) and for the first-order recursions, a
-    datum is one batched update of all replicates.  Gated RLS (ac-rls,
-    rac-rls) steps only the kept replicates, each P[r] by an in-place
-    BLAS rank-one update; the method alone picks the kernel, so a
+    theta is (R, p) and the step matrix P (U for samle2) is (R, p, p).
+    The gate (none, the NAC interval term, the AC skip, the robust clip)
+    sets a score beta and a weight h per replicate; the recursion is
+    theta += mu_n beta x, or P <- (P^-1 + h x x')^-1 and theta += beta P x.
+    samle2 and rls update every P in one batch, gated RLS each stepping
+    P[r] in place by BLAS: the method alone picks the kernel, so a
     replicate's trace does not depend on its company.
 
     NAC decisions against the fixed preliminary fits are taken a panel at
-    a time.  AC censored steps move neither theta nor P, so the
-    innovations of a block of upcoming data come from one product and
-    the scan jumps to the next step at which any replicate keeps; a block
-    spans twice the realized mean gap between such steps.  The multiply
-    ledger is the exact per-step count of the single-stream classes,
-    taken from the kept and clipped counts.
+    a time, every replicate stepping on every datum.  On the AC path (lms
+    and rls keep every datum) a censored datum moves neither theta nor
+    P, so each replicate has its own position in the panel.  A round
+    scans each one's innovations ahead over twice the realized mean gap
+    between kept data; those that hit step together, each on its own
+    first kept datum, the others skip the window, and a mark a jump
+    crosses sees the theta from before the step.  All meet at the
+    panel's end.  Multiply ledgers are exact, from kept and clipped.
     """
 
     def __init__(self, cfg: ExperimentConfig, R: int, theta_o, sigma: float, prelims, marks):
@@ -571,66 +546,80 @@ class _Lockstep:
         if prelims is not None:
             self.anchors = np.array([f.theta for f in prelims])
             self.theta = self.anchors.copy()
-            self.plans = [_nac_plan(cfg, f) for f in prelims]
+            self.plans = [_plan(cfg, p, f) for f in prelims]
             if method == "samle2":
                 self.P = np.array([(sigma * sigma) * f.gram_inv for f in prelims])
         self.mu = _resolve_mu(cfg, sigma) if method in _FIRST_ORDER else None
-        self.plan = _ac_plan(cfg, p) if method in AC_METHODS else None
-        self.constant_tau = _constant_tau(cfg)
+        self.plan = _plan(cfg, p) if method in AC_METHODS else None
         self.online = self.plan is not None and self.plan.needs_quadratic_form
         self.tau_out = cfg.tau_out if method in ("rac-lms", "rac-rls") else None
         self.gated = method not in ("lms", "rls")
         self.epsilon = cfg.epsilon
         self.kept = np.zeros(R, dtype=np.int64)
         self.clipped = np.zeros(R, dtype=np.int64)
-        self.n = self.events = 0
-        self._marks = iter(marks)
-        self.next_mark = next(self._marks)
-        self._at = []  # (mse, kept, clipped) per mark
+        self.n = self.rounds = self._kept_sum = 0  # steps before the panel; kept by all
+        # Marks and a step none reaches; each replicate's next; (mse, kept, clipped) at each.
+        self._mark_n = np.array([*marks, np.iinfo(np.int64).max], dtype=np.int64)
+        self._mark_i = np.zeros(R, dtype=np.int64)
+        self._soonest = marks[0]
+        self._at = np.zeros((3, len(marks), R))
 
     # -- the recursion ----------------------------------------------------
 
-    def update(self, x, beta, h=None, take=None) -> None:
-        """One recursion step (h = 1 when None) of every replicate, or of
-        those `take` marks.  The first-order step zeroes x and beta of a
-        replicate held back, which leaves its theta exactly as it was.
-        The second-order step is batched without `take`; with it, Px and
-        the denominators come from one batched product, then each kept
-        P[r] gets an in-place BLAS rank-one update (none for a clipped
-        outlier, h = 0) and the other rows are never written."""
+    def update(self, rows, x, beta, h, n) -> None:
+        """One recursion step of replicates `rows` (all when None), row i on
+        datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
+        clipped outlier, leaves P alone).  No other replicate is written."""
         theta, P = self.theta, self.P
+        every = rows is None or rows.size == theta.shape[0]
         if self.mu is not None:
-            if take is not None:
-                beta, x = np.where(take, beta, 0.0), np.where(take[:, None], x, 0.0)
-            theta += (self.mu.at(self.n) * beta)[:, None] * x
+            d = (self.mu.at(n) * beta)[:, None] * x
+        else:
+            if every:
+                v = np.matmul(P, x[:, :, None])[:, :, 0]
+            else:  # P x of every row, the others against x = 0, and keep ours
+                xr = np.zeros_like(theta)
+                xr[rows] = x
+                v = np.matmul(P, xr[:, :, None])[rows, :, 0]
+            s = np.einsum("rp,rp->r", x, v)
+            denom = 1.0 + (s if h is None else h * s)
+            bad = np.abs(denom) < _SINGULAR_TOL
+            if bad.any():
+                step = np.broadcast_to(n, bad.shape)[bad].min()
+                raise SingularityError(f"{self.method} broke down at step {step}: "
+                                       f"{'information ' * (self.method == 'samle2')}update "
+                                       "denominator vanished")
+            k = v * (1.0 / denom)[:, None]  # the updated P times x
+            d = beta[:, None] * k
+        if every:
+            theta += d
+        else:
+            theta[rows] += d
+        if self.mu is not None:
             return
-        v = np.matmul(P, x[:, :, None])[:, :, 0]
-        s = np.einsum("rp,rp->r", x, v)
-        denom = 1.0 + (s if h is None else h * s)
-        rows = slice(None) if take is None else np.flatnonzero(take)
-        d = denom[rows]
-        if (np.abs(d) < _SINGULAR_TOL).any():
-            raise SingularityError("information update denominator vanished"
-                                   if self.method == "samle2" else "update denominator vanished")
-        k = v[rows] * (1.0 / d)[:, None]  # the updated P times x
-        theta[rows] += beta[rows, None] * k
-        if take is None:
+        if rows is None:
             P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
             return
-        for r, kr in zip(rows.tolist(), k[:, None, :]):
-            if h is None or h[r]:  # h is 1, or 0 for a clipped outlier
-                # P[r] -= k v' as a gemm of inner dimension 1, which OpenBLAS
-                # keeps on one thread here; it threads dger at p = 200, and
-                # waking its threads at every kept datum made bench-large.json
-                # twice as slow on two cores.
-                dgemm(-1.0, v[r, :, None], kr, 1.0, self.P_fortran[r], overwrite_c=1)
+        for i, r in enumerate(rows.tolist()):
+            if h is None or h[i]:
+                # P[r] -= k v' as a gemm of inner dimension 1: OpenBLAS keeps it
+                # on one thread, where dger woke two at p = 200, twice as slow.
+                dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
 
-    def _record_at_mark(self) -> None:
-        if self.n == self.next_mark:
-            err = self.theta - self.theta_o
-            self._at.append((np.einsum("rp,rp->r", err, err), self.kept.copy(),
-                             self.clipped.copy()))
-            self.next_mark = next(self._marks, math.inf)
+    def _record(self, rows, upto) -> None:
+        """Record every mark of replicate rows[i] up to its step upto[i]
+        (or upto for all) from the current theta."""
+        while True:
+            at = self._mark_i[rows]
+            due = self._mark_n[at] <= upto
+            if not due.any():
+                break
+            rows, at, upto = rows[due], at[due], np.broadcast_to(upto, due.shape)[due]
+            err = self.theta[rows] - self.theta_o
+            self._at[:, at, rows] = (np.einsum("rp,rp->r", err, err), self.kept[rows],
+                                     self.clipped[rows])
+            self._mark_i[rows] = at + 1
+        self._soonest = int(self._mark_n[self._mark_i].min())
 
     # -- the gates ----------------------------------------------------------
 
@@ -651,86 +640,110 @@ class _Lockstep:
             beta, h = score_info(censored[i], value[i], np.einsum("rp,rp->r", x, self.theta),
                                  tau[i], sigma)
             self.n += 1
-            self.update(x, beta, h)
+            self.update(None, x, beta, h, self.n)
             self.kept += keep[i]
-            self._record_at_mark()
+            if self.n >= self._soonest:
+                self._record(np.arange(len(x)), self.n)
 
     def ac_panel(self, Y, X) -> None:
-        """Scan a panel for the data the AC gate keeps and update on those."""
-        R = Y.shape[1]
+        """Step each replicate through a panel to its own kept data, in rounds."""
+        m, R = Y.shape
         if self.P is None and self.mu is None:
             eps = self.epsilon
-            if eps is None:
-                eps = default_ridge(X[0], self.plan, self.tau_out)
+            eps = default_ridge(X[0], self.plan, self.tau_out) if eps is None else eps
             self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
             # P[r].T is a Fortran-order view, which BLAS updates in place.
             self.P_fortran = list(self.P.transpose(0, 2, 1))
-        offline = self.plan is not None and not self.online
-        panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + len(Y))[:, None] if offline else None
-        i = 0
-        while i < len(Y):
-            n = self.n
-            B = min(len(Y) - i, (2 * n + 1) // (self.events + 1), self.next_mark - n)
-            Xb = X[i:i + B]
-            E = Y[i:i + B] - np.einsum("brp,rp->br", Xb, self.theta)
-            j = 0
+        fixed = self.plan is not None and not self.online  # tau depends on n alone
+        panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + m) if fixed else None
+        ahead = np.arange(m)[:, None]
+        act, a, front = np.arange(R), np.zeros(R, dtype=np.int64), 0  # active, positions, lead
+        while act.size:
+            # Twice the mean gap (the lead's steps over the mean kept count).  In
+            # sync, all share one position: a slice, and Python scalars.
+            B = max(1, (2 * (self.n + front) + 1) * R // (self._kept_sum + R)) if self.gated else 1
+            sync = act.size == 1 or not self.gated
+            if sync:
+                n, rs = self.n + front, slice(None) if act.size == R else slice(act[0], act[0] + 1)
+                B = lim = min(B, m - front)
+                at = ahead[front:front + B]
+                Xw, Yw = X[front:front + B, rs], Y[front:front + B, rs]
+            else:
+                n, rs = self.n + a, act if act.size < R else slice(None)
+                lim = B if front + B <= m else np.minimum(m - a, B)
+                at = np.minimum(a + ahead[:B], m - 1)
+                Xw, Yw = X[at, act], Y[at, act]
+            E = Yw - np.einsum("brp,rp->br", Xw, self.theta[rs])
+            watch = self._soonest <= self.n + front + B  # a mark may fall in this round
+            j, got, rows, bad = 0, True, None, False
             if self.gated:
                 if self.online:
-                    steps = np.arange(n + 1, n + 1 + B)[:, None]
-                    q = np.einsum("bri,rij,brj->br", Xb, self.P, Xb) * (steps - 1) / steps
-                    tau = self.plan.thresholds(n + 1, n + 1 + B, quadratic_form=q)
+                    steps = n + 1 + ahead[:B]
+                    q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
+                    tau = self.plan.thresholds(1, B + 1, quadratic_form=q)
                 else:
-                    tau = panel_tau[i:i + B] if offline else self.constant_tau
-                if self.tau_out is not None and self.plan is not None:
+                    tau = panel_tau[at]
+                if self.tau_out is not None:
                     tau = np.minimum(tau, self.tau_out)  # the clip wins during warm-up
                 hit = np.abs(E) >= tau * self.sigma
-                if self.tau_out is not None and not np.isfinite(E.sum()):
+                bad = self.tau_out is not None and not np.isfinite(E.sum())
+                if bad:
                     hit |= ~np.isfinite(E)  # the robust rule raises on these
-                any_hit = hit.any(axis=1)
-                j = int(any_hit.argmax())
-                if not any_hit[j]:
-                    j = B
-            self.n += j
-            self._record_at_mark()
-            i += j
-            if j == B:
-                continue
-            self.n += 1
-            self.events += 1
-            i += 1
-            beta, x, h, take = E[j], Xb[j], None, None
-            if self.gated:
-                take = hit[j]
-                if self.tau_out is not None:
-                    beta, h = self._clip(beta, tau if np.ndim(tau) == 0 else tau[j], take)
-                self.kept += take
+                if lim is not B:
+                    hit &= ahead[:B] < lim
+                if sync:
+                    j = int(hit.argmax())
+                    j, got, rows = (j, True, act) if hit[j, 0] else (B, False, act[:0])
+                else:
+                    got = hit.any(axis=0)
+                    j = np.where(got, hit.argmax(axis=0), lim)
+                if watch:  # marks inside a jump see the theta before its step
+                    self._record(act, n + j)
+            if sync:
+                k, step = j, n + j + 1  # the kept data in E
+                front += j + got
             else:
-                self.kept += 1
-            self.update(x, beta, h, take)
-            self._record_at_mark()
+                cols = got.nonzero()[0]
+                k, rows = (j[cols], cols), act[cols]
+                a += j + got
+                step, front = self.n + a[cols], int(a.max())
+            if rows is None or rows.size:
+                beta, x, h = E[k], Xw[k], None
+                if self.tau_out is not None:
+                    beta, h = self._clip(rows, beta, tau[k], bad)
+                self.kept[rs if rows is None else rows] += 1
+                self._kept_sum += beta.size
+                self.rounds += 1
+                self.update(rows, x, beta, h, step)
+                if watch:
+                    self._record(act if rows is None else rows, step)
+            if front >= m:  # drop the replicates at the panel's end
+                act, a = (act[:0], a) if sync else (act[a < m], a[a < m])
+                front = int(a.max()) if act.size else 0
+        self.n += m
 
-    def _clip(self, e, tau, take):
-        """Robust rule on kept innovations: (score, weight), outliers clipped
-        to tau_out sigma sign(e) with weight 0 (P untouched)."""
-        finite = np.isfinite(e)
-        if not finite.all():
-            r = int(finite.argmin())
-            robust_decide(float(e[r]), self.sigma, float(np.broadcast_to(tau, e.shape)[r]),
-                          self.tau_out)
+    def _clip(self, rows, e, tau, check):
+        """Robust rule on the kept innovations e of replicates rows (checked
+        for non-finite values if `check`): (score, weight), outliers clipped
+        to tau_out sigma sign(e) with weight 0; weight None if none is."""
+        if check and not np.isfinite(e).all():
+            r = int(np.isfinite(e).argmin())
+            robust_decide(float(e[r]), self.sigma, float(tau[r]), self.tau_out)
         bound = self.tau_out * self.sigma
-        out = take & (np.abs(e) >= bound)
-        self.clipped += out
+        out = np.abs(e) >= bound
+        if not out.any():
+            return e, None
+        self.clipped[rows] += out
         return np.where(out, bound * np.copysign(1.0, e), e), np.where(out, 0.0, 1.0)
 
     # -- results ------------------------------------------------------------
 
     def traces(self, cfg: ExperimentConfig, seeds) -> list[TrialTrace]:
-        mse, kept, clipped = (np.array(a) for a in zip(*self._at))
+        mse, (kept, clipped) = self._at[0], self._at[1:].astype(np.int64)
         at = np.array(self.marks)[:, None]
         ratios = (at - kept) / at
-        p = self.theta.shape[1]
-        mults = np.broadcast_to(_multiplies(self.method, p, at, kept, clipped, self.online),
-                                kept.shape)
+        mults = np.broadcast_to(_multiplies(self.method, self.theta.shape[1], at, kept, clipped,
+                                            self.online), kept.shape)
         return [_trace(cfg, seed, self.marks, mse[:, r], ratios[:, r], mults[:, r],
                        self.theta_o, self.kept[r], self.theta[r])
                 for r, seed in enumerate(seeds)]
@@ -851,15 +864,12 @@ class MonteCarloResult:
 def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
     """Run all replicates of cfg and aggregate their traces.
 
-    Replicate r runs on derive(cfg.seed, r).  Streaming methods advance
-    all replicates in lockstep, as one (R, p) state updated by one
-    vectorized step per datum; each replicate's trace is the one
-    run_trial gives it alone.  On a dataset every replicate streams the
-    same data through a recursion that draws no randomness, so replicate
-    0 runs once and its trace stands for every seed.  Kaczmarz replicates
-    on a dataset draw their rows in lockstep too, one (R, p) projection
-    per draw; on a synthetic stream each replicate sweeps its own data.
-    Batch methods run replicate by replicate.  Aggregation is by
+    Replicate r runs on derive(cfg.seed, r).  Streaming methods run all
+    replicates as one state (see _Lockstep), and each trace is the one
+    run_trial gives the replicate alone; on a dataset, which draws no
+    randomness, replicate 0 runs once for every seed.  Kaczmarz
+    replicates on a dataset draw in lockstep, one (R, p) projection per
+    draw.  The rest run replicate by replicate.  Aggregation is by
     replicate index.
     """
     seeds = [derive(cfg.seed, r) for r in range(cfg.replicates)]

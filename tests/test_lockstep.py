@@ -328,3 +328,96 @@ def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where
         alone = run_trial(cfg, seeds[r])
         for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
             np.testing.assert_array_equal(getattr(alone, field), getattr(res.traces[r], field))
+
+
+def _kept_flags(cfg, X, y, spec):
+    """Per datum, whether the scalar class keeps it."""
+    est = _scalar_estimator(cfg, X.shape[1], spec.sigma, None)
+    fixed = cfg.censor["tau"] if cfg.censor["kind"] == "constant" else None
+    return np.array([est.step(float(y_n), x, fixed)[1].kept for x, y_n in zip(X, y)])
+
+
+@pytest.mark.parametrize("case", GATED_RLS, ids=[_ids(c) for c in GATED_RLS])
+def test_lockstep_rounds_follow_the_kept_count(monkeypatch, case):
+    # Each replicate jumps to its own next kept datum, so a round is not a
+    # datum that some replicate keeps: there are fewer rounds than such
+    # data, and no fewer than the kept count of the busiest replicate.
+    cfg = _stream_cfg(*case)
+    spec = cfg.stream.pinned()
+    runs = []
+
+    class Recorded(harness._Lockstep):
+        def traces(self, *args):
+            runs.append(self)
+            return super().traces(*args)
+
+    monkeypatch.setattr(harness, "_Lockstep", Recorded)
+    res = monte_carlo(cfg)
+    (run,) = runs
+    kept = np.array([_kept_flags(cfg, *materialize(spec.with_seed(derive(cfg.seed, r))), spec)
+                     for r in range(R)])
+    np.testing.assert_array_equal(kept.sum(axis=1), [t.kept_total for t in res.traces])
+    assert kept.sum(axis=1).max() <= run.rounds < kept.any(axis=0).sum()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["ac-rls", "rac-rls"])
+def test_lockstep_failure_names_the_replicate_own_step(monkeypatch, method):
+    # Only replicate 1 fails, at its datum 58, while the others stand
+    # elsewhere in the panel.  ac-rls starts from P = -I and keeps nothing
+    # before that datum, e_0 with a huge y, so 1 + x'Px vanishes there.
+    # rac-rls meets a NaN in x, which makes that step's own online tau NaN,
+    # and the robust rule names the bad tau.
+    at = 57
+    if method == "ac-rls":
+        cfg = _stream_cfg(method, {"kind": "constant", "tau": 50.0}, epsilon=-1.0)
+    else:
+        cfg = _stream_cfg(method, {"kind": "ac-online", "target_pi": 0.6})
+    spec = cfg.stream.pinned()
+    seeds = [derive(cfg.seed, r) for r in range(R)]
+
+    def damage(X, y, i):
+        X, y = X.copy(), y.copy()
+        if method == "ac-rls":
+            X[i], y[i] = np.eye(X.shape[1])[0], 1e3
+        else:
+            X[i, 2] = math.nan
+        return X, y
+
+    real_generate = harness.generate
+
+    def generate(s, panels=False):
+        for Y, X in real_generate(s, panels=panels):
+            if s.seed == seeds[1]:
+                X, Y = damage(X, Y, at)
+            yield Y, X
+
+    monkeypatch.setattr(harness, "generate", generate)
+    X, y = damage(*materialize(spec.with_seed(seeds[1])), at)
+    error = SingularityError if method == "ac-rls" else DomainError
+    with pytest.raises(error) as scalar:
+        scalar_trial(cfg, X, y, spec.theta, spec.sigma)
+    with pytest.raises(error) as lockstep:
+        monte_carlo(cfg)
+    assert str(lockstep.value) == str(scalar.value)
+    assert str(scalar.value) == ("ac-rls broke down at step 58: update denominator vanished"
+                                 if method == "ac-rls" else "tau must be non-negative and finite")
+
+
+@pytest.mark.parametrize("method", ["ac-rls", "rac-rls"])
+def test_lockstep_marks_inside_jumps(method):
+    # A mark at every step: many fall inside a censored stretch that a
+    # replicate jumps over, and each must read the theta before the jump.
+    cfg = _stream_cfg(method, {"kind": "ac-offline", "target_pi": 0.9},
+                      record_at=tuple(range(1, 301)))
+    spec = cfg.stream.pinned()
+    res = monte_carlo(cfg)
+    for r, trace in enumerate(res.traces):
+        seed = derive(cfg.seed, r)
+        kept = np.rint(trace.n * (1.0 - trace.censor_ratio))
+        assert (np.diff(kept) == 0).sum() > 100  # marks on censored data
+        alone = run_trial(cfg, seed)
+        for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            np.testing.assert_array_equal(getattr(alone, field), getattr(trace, field))
+        X, y = materialize(spec.with_seed(seed))
+        assert_matches(trace, scalar_trial(cfg, X, y, spec.theta, spec.sigma))
