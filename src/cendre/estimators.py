@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_PANEL = 1024  # rows per block of a stream held in memory
+_PANEL = 1024  # rows a block of data holds in memory; R Kaczmarz replicates share one
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,6 +463,8 @@ def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
     draws = np.stack([substream(s).choice(X.shape[0], size=int(iters), p=probs)
                       for s in ([seed] if single else seed)], axis=1)
     theta = np.zeros((draws.shape[1], X.shape[1]), dtype=np.float64)
+    # A block gathers about _PANEL rows, whatever the replicate count.
+    block = max(1, _PANEL // draws.shape[1])
     if single:
         # The 1-D arithmetic of one sweep: x'theta is a scalar dot.
         draws, theta = draws[:, 0], theta[0]
@@ -471,8 +473,8 @@ def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
         # Replicate r's x'theta is the (1, p) @ (p, 1) product of its
         # own row and iterate, the same dot as the single sweep's.
         state, col = theta[:, None, :], theta[:, :, None]
-    for a in range(0, draws.shape[0], _PANEL):
-        picked = draws[a:a + _PANEL]
+    for a in range(0, draws.shape[0], block):
+        picked = draws[a:a + block]
         rows, resp, energy = X[picked], y[picked], norms_sq[picked]
         if not single:
             rows, resp, energy = rows[:, :, None], resp[..., None, None], energy[..., None, None]

@@ -353,10 +353,13 @@ class TrialTrace:
 
 @lru_cache(maxsize=8)
 def _dataset_arrays(path: str, options_key: tuple):
+    """(X, y, theta_o, sigma) of a dataset, read-only: every caller shares them."""
     options = dict(options_key)
     target = options.pop("target_column")
     ds = load_csv(path, target, **options)
     theta_o, sigma = surrogate_truth(ds)
+    for a in (ds.design, ds.response, theta_o):
+        a.flags.writeable = False
     return ds.design, ds.response, theta_o, sigma
 
 

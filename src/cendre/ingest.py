@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .estimators import batch_lse
+from .estimators import _PANEL, batch_lse
 
 __all__ = ["Dataset", "load_csv", "surrogate_truth", "write_csv",
            "write_sidecar", "sidecar_path"]
@@ -51,10 +52,38 @@ def _parse_cell(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _read_numeric(fh, delimiter: str, width: int) -> np.ndarray | None:
+    """The rest of fh as a C-ordered (rows, width) array, or None.
+
+    None unless every row has width finite fields that numpy's reader
+    parses.  Without usecols the reader rejects a row whose field count
+    differs from the first row's, and the shape check ties that to width.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=delimiter, comments=None, quotechar='"',
+                              ndmin=2)
+    except (ValueError, TypeError):  # TypeError: a delimiter numpy cannot take
+        return None
+    if data.size == 0 or data.shape[1] != width or not np.isfinite(data).all():
+        return None
+    return data
+
+
 def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
              drop_non_numeric: bool = False, add_intercept: bool = False,
              skip_bad_rows: bool = False, standardize: bool = False) -> Dataset:
     """Parse a delimited text file into a Dataset.
+
+    The body goes through numpy's C reader in one pass into one (D, k)
+    float64 array, whose target column is then moved last in place, so
+    memory stays linear in the numeric size.  numpy accepts a subset of
+    what float() accepts and rounds the same way.  Whenever it raises,
+    or returns an empty body, a row width other than the header's or a
+    non-finite value, the file is read again cell by cell with
+    csv.reader and float().  Only that path applies the policies below,
+    logs and raises, so both paths give the same arrays, log and errors.
 
     Parameters
     ----------
@@ -78,17 +107,20 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     path = Path(path)
     log: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [row for row in reader if row]
-    if not rows:
+        first = next(filter(None, csv.reader(fh, delimiter=delimiter)), None)
+        if not header:
+            fh.seek(0)
+        data = None if first is None else _read_numeric(fh, delimiter, len(first))
+        if data is None:
+            fh.seek(0)
+            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    if first is None:
         raise DomainError(f"{path}: empty file")
 
     if header:
-        names = [c.strip() for c in rows[0]]
-        body = rows[1:]
+        names = [c.strip() for c in first]
     else:
-        names = [f"col{j}" for j in range(len(rows[0]))]
-        body = rows
+        names = [f"col{j}" for j in range(len(first))]
     width = len(names)
 
     if isinstance(target_column, int):
@@ -102,27 +134,24 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
             raise ConfigError(
                 f"target column {target_column!r} not found among {names}") from None
 
-    good = []
-    for i, row in enumerate(body):
-        line_no = i + 2 if header else i + 1
-        if len(row) != width:
-            if skip_bad_rows:
-                log.append(f"skipped row {line_no}: expected {width} fields, got {len(row)}")
-                continue
-            raise DomainError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
-        good.append(row)
-
     feature_idx = [j for j in range(width) if j != target_idx]
-    # One parse in C with float()'s rules.  Only a body holding a cell
-    # that float() rejects or reads as non-finite goes cell by cell.
-    try:
-        data = np.array(good, dtype=np.float64)
-    except ValueError:
-        data = None
-    if good and data is not None and np.isfinite(data).all():
-        # A C-ordered copy: the layout the cell-by-cell path builds.
-        data = np.ascontiguousarray(data[:, feature_idx + [target_idx]])
+    if data is not None:
+        # Put the target column last in place, a block of rows at a time.
+        if target_idx != width - 1:
+            order = feature_idx + [target_idx]
+            for a in range(0, data.shape[0], _PANEL):
+                data[a:a + _PANEL] = data[a:a + _PANEL, order]
     else:
+        good = []
+        for i, row in enumerate(rows[1:] if header else rows):
+            line_no = i + 2 if header else i + 1
+            if len(row) != width:
+                if skip_bad_rows:
+                    log.append(f"skipped row {line_no}: expected {width} fields, got {len(row)}")
+                    continue
+                raise DomainError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
+            good.append(row)
+
         parsed = [[_parse_cell(c) for c in row] for row in good]
         if drop_non_numeric:
             bad = [j for j in feature_idx
@@ -130,7 +159,7 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
             for j in bad:
                 log.append(f"dropped non-numeric column {names[j]!r}")
             feature_idx = [j for j in feature_idx if j not in bad]
-            if not feature_idx:
+            if bad and not feature_idx:
                 raise DomainError(f"{path}: no numeric feature columns left")
 
         keep_idx = feature_idx + [target_idx]

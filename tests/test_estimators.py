@@ -7,6 +7,7 @@ checks assert exact integer multiply budgets per branch.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from cendre.censor import CensorDecision, ThresholdPlan
 from cendre.errors import ConfigError, DomainError, SingularityError, UsageError
 from cendre.estimators import (
+    _PANEL,
     LMS,
     RLS,
     FirstOrderCensoredMLE,
@@ -443,7 +445,7 @@ def test_kaczmarz_rejects_zero_rows():
 
 
 def test_kaczmarz_lockstep_rows_are_single_sweeps():
-    # 2,500 draws cross two blocks of gathered rows.
+    # 2,500 draws cross several blocks of gathered rows.
     rng = substream(63)
     X = rng.standard_normal((40, 5))
     y = X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
@@ -461,6 +463,22 @@ def test_kaczmarz_lockstep_rows_are_single_sweeps():
                             callback=lambda k, th: alone.append(th.copy()))
         np.testing.assert_array_equal(got[r], want)
         np.testing.assert_array_equal(np.stack([th[r] for _, th in seen]), np.stack(alone))
+
+
+def test_kaczmarz_lockstep_block_memory_does_not_grow_with_replicates():
+    # A block gathers about _PANEL rows of x however many replicates share
+    # it.  Alive at the peak: the (iters, R) draw table, the block being
+    # gathered and the one before it.
+    rng = substream(64)
+    X = rng.standard_normal((5_000, 50))
+    y = X @ rng.standard_normal(50)
+    tracemalloc.start()
+    try:
+        kaczmarz_run(X, y, iters=5_000, seed=list(range(10)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _PANEL * 50 * 8
 
 
 def test_regret_hand_case():

@@ -326,6 +326,18 @@ def test_multipass_dataset(tmp_path):
     assert t.steps == 120
 
 
+def test_dataset_arrays_are_read_only(tmp_path):
+    # One cached copy serves every sweep point and replicate.
+    rng = substream(80)
+    f = tmp_path / "d.csv"
+    f.write_text("a,b,y\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rng.standard_normal((20, 3))))
+    X, y, theta_o, _ = harness._dataset_arrays(str(f), (("target_column", "y"),))
+    for a in (X, y, theta_o):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 def test_dataset_replicates_run_once(tmp_path, monkeypatch):
     # Every replicate streams the same file through a recursion that draws
     # no randomness, so replicate 0 runs alone and stands for all seeds.

@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cendre import ingest
 from cendre.errors import ConfigError, DomainError
 from cendre.ingest import (
     Dataset,
@@ -146,6 +150,133 @@ def test_cell_rule_under_each_policy(tmp_path, cell, policy):
         assert (ds.D, ds.column_names) == (4, ["a", "b"])
         assert ds.provenance["log"] == ["skipped row with non-numeric value in column 'b'"]
         np.testing.assert_array_equal(ds.response, [6.0, 10.0, 2.0, 1.0])
+
+
+def _outcome(path, target, **options):
+    """What load_csv makes of a file: its error, or every part of the Dataset."""
+    try:
+        ds = load_csv(path, target, **options)
+    except (ConfigError, DomainError) as exc:
+        return type(exc), str(exc)
+    return [(a.tobytes(), a.shape, a.strides, a.flags)
+            for a in (ds.design, ds.response)] + [
+        ds.column_names, ds.response_name, ds.provenance]
+
+
+def _both_paths(path, target, **options):
+    """(numpy's reader first, cell by cell only), both as _outcome."""
+    fast = _outcome(path, target, **options)
+    with mock.patch.object(ingest, "_read_numeric", return_value=None):
+        slow = _outcome(path, target, **options)
+    return fast, slow
+
+
+@given(st.integers(2, 5).flatmap(lambda width: st.tuples(
+           st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=width, max_size=width),
+                    min_size=width, max_size=12),
+           st.integers(0, width - 1))),
+       st.sampled_from(["repr", "%.17g"]), st.sampled_from([",", ";"]), st.booleans())
+def test_fast_parse_is_bitwise_the_cell_by_cell_parse(tmp_path_factory, table, fmt,
+                                                       delimiter, header):
+    rows, target_idx = table
+    width = len(rows[0])
+    cell = repr if fmt == "repr" else (lambda v: "%.17g" % v)
+    names = [f"c{j}" for j in range(width)]
+    text = "".join(delimiter.join(cell(v) for v in row) + "\n" for row in rows)
+    if header:
+        text = delimiter.join(names) + "\n" + text
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_text(text)
+    target = names[target_idx] if header else target_idx
+    # No cell goes through float() on the fast path.
+    with mock.patch.object(ingest, "_parse_cell", side_effect=AssertionError):
+        fast = _outcome(path, target, delimiter=delimiter, header=header)
+    with mock.patch.object(ingest, "_read_numeric", return_value=None):
+        slow = _outcome(path, target, delimiter=delimiter, header=header)
+    assert fast == slow
+    vals = np.array(rows, dtype=np.float64)
+    order = [j for j in range(width) if j != target_idx] + [target_idx]
+    assert fast[0][0] == vals[:, order[:-1]].tobytes()
+    assert fast[1][0] == vals[:, target_idx].tobytes()
+
+
+# Each file is loaded under every policy, with and without its header, on
+# both paths: cells that float() and numpy read differently or that are
+# not finite; CRLF; blank and whitespace-only lines; a blank line before a
+# numeric header, so numpy must start where csv.reader's header ended;
+# rows with a field too many or too few, one row or all of them; a
+# one-row body, a header-only file and a file with no feature column.
+CATALOGUE = {
+    "quoted": 'a,b,y\n1,"3",3\n4,5,6\n7,8,10\n-1,0,2\n',
+    "quote-then-digit": 'a,b,y\n1,"3"4,3\n4,5,6\n7,8,10\n-1,0,2\n',
+    "quoted-comma": 'a,b,y\n1,"1,5",3\n4,5,6\n7,8,10\n-1,0,2\n',
+    "underscore": "a,b,y\n1,1_0,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "arabic-indic": "a,b,y\n1,\u0661\u0662,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "spaces": "a,b,y\n1, 2 ,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "infinity": "a,b,y\n1,Infinity,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "overflow": "a,b,y\n1,1e500,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "underflow": "a,b,y\n1,1e-400,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "negative-zero": "a,b,y\n1,-0,3\n4,5,6\n7,8,10\n-1,0,-0\n",
+    "crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n7,8,10\r\n-1,0,2\r\n",
+    "blank-lines": "a,b,y\n\n1,2,3\n4,5,6\n\n\n7,8,10\n-1,0,2\n\n",
+    "whitespace-line": "a,b,y\n1,2,3\n  \n4,5,6\n7,8,10\n-1,0,2\n",
+    "blank-before-numeric-header": "\n1,2,3\n4,5,6\n7,8,10\n-1,0,2\n0,1,1\n",
+    "extra-field": "a,b,y\n1,2,3\n4,5,6,9\n7,8,10\n-1,0,2\n",
+    "trailing-delimiter": "a,b,y\n1,2,3,\n4,5,6,\n7,8,10,\n-1,0,2,\n",
+    "short-row": "a,b,y\n1,2,3\n4,5\n7,8,10\n-1,0,2\n",
+    "every-row-wider": "a,b,y\n1,2,3,4\n4,5,6,7\n7,8,10,1\n-1,0,2,5\n",
+    "every-row-narrower": "a,b,c,y\n1,2,3\n4,5,6\n7,8,10\n-1,0,2\n",
+    "one-row": "a,y\n1,2\n",
+    "header-only": "a,b,y\n",
+    "target-only": "y\n1\n2\n1_0\n",
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["default", "drop", "skip"])
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_catalogue_loads_the_same_on_both_paths(tmp_path, name, policy):
+    f = _write(tmp_path, CATALOGUE[name])
+    target = "3" if name == "blank-before-numeric-header" else "y"
+    fast, slow = _both_paths(f, target, **policy)
+    assert fast == slow
+    headerless = _both_paths(f, -1, header=False, **policy)
+    assert headerless[0] == headerless[1]
+
+
+def test_blank_line_before_header_starts_the_body_after_it(tmp_path):
+    ds = load_csv(_write(tmp_path, CATALOGUE["blank-before-numeric-header"]), "3")
+    np.testing.assert_array_equal(ds.response, [6.0, 10.0, 2.0, 1.0])
+
+
+def test_header_only_file_has_no_usable_rows(tmp_path):
+    f = _write(tmp_path, CATALOGUE["header-only"])
+    with pytest.raises(DomainError, match="no usable rows"):
+        load_csv(f, "y")
+
+
+def test_row_with_an_extra_field_is_still_a_row_error(tmp_path):
+    f = _write(tmp_path, CATALOGUE["extra-field"])
+    with pytest.raises(DomainError, match="row 3 has 4 fields, expected 3"):
+        load_csv(f, "y")
+
+
+def test_load_csv_peak_memory_is_linear_in_the_numeric_size(tmp_path):
+    # The target sits mid-row, so the columns are also reordered, over
+    # many blocks of rows.
+    vals = substream(13).standard_normal((20_000, 21))
+    f = tmp_path / "wide.csv"
+    names = ",".join(f"c{j}" for j in range(21))
+    np.savetxt(f, vals, fmt="%.17g", delimiter=",", header=names, comments="")
+    tracemalloc.start()
+    try:
+        ds = load_csv(f, "c10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ds.design, np.delete(vals, 10, axis=1))
+    np.testing.assert_array_equal(ds.response, vals[:, 10])
+    assert peak <= 3 * vals.nbytes
 
 
 def test_standardize(tmp_path):
