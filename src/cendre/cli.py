@@ -23,11 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datagen import StreamSpec, materialize, toeplitz_cov
+from .datagen import StreamSpec, materialize
 from .errors import CendreError, ConfigError, SingularityError
 from .harness import (ALL_METHODS, AC_METHODS, BATCH_METHODS, RESULT_COLUMNS,
                       ExperimentConfig, monte_carlo, result_rows, run_trial,
                       write_results_csv, write_summary_json)
+from .ingest import Dataset, _write_json, write_csv
 from .numkit.rng import derive
 
 __all__ = ["main", "build_parser"]
@@ -125,10 +126,9 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-    if args.seed is None and os.environ.get(_ENV_SEED) is not None and "seed" not in doc:
-        doc["seed"] = int(os.environ[_ENV_SEED])
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
+    if isinstance(doc, dict) and (args.seed is not None or
+                                  ("seed" not in doc and _ENV_SEED in os.environ)):
+        doc["seed"] = _default_seed(args)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -137,48 +137,33 @@ def _load_config(args) -> ExperimentConfig:
 # ---------------------------------------------------------------------
 
 
-def _parse_cov(text: str, p: int):
-    if text == "identity":
-        return None
-    if text.startswith("toeplitz:"):
-        parts = text[len("toeplitz:"):].split(",")
-        if len(parts) != 2:
-            raise ConfigError("--cov toeplitz takes two values, e.g. toeplitz:2,0.5")
-        return toeplitz_cov(p, float(parts[0]), float(parts[1]))
-    raise ConfigError(f"unknown --cov {text!r}; use 'identity' or 'toeplitz:a,r'")
-
-
 def _cmd_gen(args) -> int:
     seed = _default_seed(args)
-    outlier_prob = outlier_var = 0.0
+    stream = {"p": args.p, "D": args.D, "sigma": args.sigma, "df": args.df,
+              "design": "student-t" if args.design == "t" else "gaussian"}
+    if args.cov.startswith("toeplitz:"):
+        a_r = args.cov[len("toeplitz:"):].split(",")
+        if len(a_r) != 2:
+            raise ConfigError("--cov toeplitz takes two values, e.g. toeplitz:2,0.5")
+        stream["cov"] = {"kind": "toeplitz", "a": float(a_r[0]), "r": float(a_r[1])}
+    elif args.cov != "identity":
+        raise ConfigError(f"unknown --cov {args.cov!r}; use 'identity' or 'toeplitz:a,r'")
     if args.outliers is not None:
-        parts = args.outliers.split(",")
-        if len(parts) != 2:
+        prob_var = args.outliers.split(",")
+        if len(prob_var) != 2:
             raise ConfigError("--outliers takes PROB,VAR, e.g. 0.05,225")
-        outlier_prob, outlier_var = float(parts[0]), float(parts[1])
-    spec = StreamSpec(p=args.p, D=args.D, sigma=args.sigma, seed=seed,
-                      design="student-t" if args.design == "t" else "gaussian",
-                      cov=_parse_cov(args.cov, args.p), df=args.df,
-                      outlier_prob=outlier_prob, outlier_var=outlier_var)
+        stream["outliers"] = {"prob": float(prob_var[0]), "var": float(prob_var[1])}
+    spec = StreamSpec.from_doc(stream, seed)
     X, y = materialize(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"{args.name}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(spec.p)] + ["y"])
-        for row, target in zip(X, y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+    write_csv(Dataset(design=X, response=y, column_names=[f"x{j}" for j in range(spec.p)],
+                      response_name="y", provenance={}), csv_path)
     truth_path = args.out / f"{args.name}.truth.json"
-    doc = {"theta_o": [float(v) for v in spec.resolved_theta()],
-           "sigma": spec.sigma, "seed": seed,
-           "p": spec.p, "D": spec.D, "design": spec.design}
-    if spec.df is not None:
-        doc["df"] = spec.df
-    if spec.has_outliers:
-        doc["outliers"] = {"prob": outlier_prob, "var": outlier_var}
-    with open(truth_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    truth = spec.to_doc()
+    truth.pop("cov", None)
+    truth["theta_o"] = [float(v) for v in spec.resolved_theta()]
+    _write_json(truth, truth_path)
     print(f"wrote {csv_path} ({spec.D} rows) and {truth_path}")
     return 0
 
@@ -259,10 +244,7 @@ def _cmd_sweep(args) -> int:
             result = monte_carlo(point_cfg)
             summary["points"][label] = result.summary_doc()
             writer.writerows([args.axis, label, *row] for row in result_rows(result.traces))
-    json_path = args.out / "sweep.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path = _write_json(summary, args.out / "sweep.json")
     print(f"wrote {merged_path} and {json_path}")
     return 0
 
@@ -305,10 +287,7 @@ def _cmd_bench(args) -> int:
                                    "final_mse": float(trace.mse[-1])}
     rls_secs = report["methods"]["rls"]["wall_seconds"]
     report["speedup_vs_rls"] = rls_secs / ac_secs if ac_secs > 0 else float("inf")
-    out_path = args.out / "bench.json"
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_json(report, args.out / "bench.json")
     print(f"wrote {out_path}")
     print(f"{cfg.method} kept {d}/{cfg.stream.D} rows; "
           f"wall {ac_secs:.3f}s vs rls {rls_secs:.3f}s "

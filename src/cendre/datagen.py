@@ -16,11 +16,11 @@ outliers are enabled for the y side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError, config_section
 from .estimators import batch_lse
 from .numkit.rng import derive, substream
 
@@ -30,6 +30,11 @@ __all__ = ["StreamSpec", "toeplitz_cov", "generate", "materialize", "full_lse_ms
 _THETA, _DESIGN, _NOISE, _TAIL, _OUT_FLAG, _OUT_MAG = range(6)
 
 _BLOCK = 1024
+
+# Keys of a config's stream section, and of its cov object by kind.
+_STREAM_FIELDS = ("p", "D", "sigma", "seed", "design", "cov", "df", "theta", "outliers")
+_COV_FIELDS = {"identity": ("kind",), "toeplitz": ("kind", "a", "r"),
+               "explicit": ("kind", "matrix")}
 
 
 def toeplitz_cov(p: int, a: float, r: float) -> np.ndarray:
@@ -105,22 +110,68 @@ class StreamSpec:
         """Shape matrix of the regressor law (identity when unset)."""
         return np.eye(self.p) if self.cov is None else self.cov
 
+    @classmethod
+    def from_doc(cls, doc, default_seed: int) -> "StreamSpec":
+        """The spec a config's 'stream' section describes.
+
+        Keys: p, D and sigma (required), seed (default default_seed),
+        design, df, theta, outliers as {prob, var}, and cov as
+        {"kind": "identity"}, {"kind": "toeplitz", "a", "r"},
+        {"kind": "explicit", "matrix"} or a bare matrix.  An unknown key
+        at any level, or a spec outside its domain, raises ConfigError.
+        """
+        sd = config_section(doc, "stream", _STREAM_FIELDS, required=("p", "D", "sigma"))
+        p = int(sd["p"])
+        cov = sd.get("cov")
+        if isinstance(cov, dict):
+            kind = cov.get("kind")
+            if kind not in _COV_FIELDS:
+                raise ConfigError(f"unknown stream.cov kind {kind!r}")
+            config_section(cov, "stream.cov", _COV_FIELDS[kind],
+                           required=("a", "r") if kind == "toeplitz" else ())
+            if kind == "toeplitz":
+                cov = toeplitz_cov(p, float(cov["a"]), float(cov["r"]))
+            else:
+                cov = None if kind == "identity" else np.asarray(cov.get("matrix"), float)
+        outliers = sd.get("outliers") or {}
+        if outliers and ("prob" not in outliers or "var" not in outliers):
+            raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
+        config_section(outliers, "stream.outliers", ("prob", "var"))
+        try:
+            return cls(p=p, D=int(sd["D"]), sigma=float(sd["sigma"]),
+                       seed=int(sd.get("seed", default_seed)),
+                       design=str(sd.get("design", "gaussian")), cov=cov,
+                       df=float(sd["df"]) if sd.get("df") is not None else None,
+                       theta=sd.get("theta"),
+                       outlier_prob=float(outliers.get("prob", 0.0)),
+                       outlier_var=float(outliers.get("var", 0.0)))
+        except DomainError as exc:
+            raise ConfigError(f"invalid 'stream' section: {exc}") from exc
+
+    def to_doc(self) -> dict:
+        """The stream section from_doc reads back as this spec; any
+        covariance is written as an explicit matrix."""
+        doc: dict = {"p": self.p, "D": self.D, "sigma": self.sigma,
+                     "seed": self.seed, "design": self.design}
+        if self.cov is not None:
+            doc["cov"] = {"kind": "explicit", "matrix": self.cov.tolist()}
+        if self.df is not None:
+            doc["df"] = self.df
+        if self.theta is not None:
+            doc["theta"] = self.theta.tolist()
+        if self.has_outliers:
+            doc["outliers"] = {"prob": self.outlier_prob, "var": self.outlier_var}
+        return doc
+
     def with_seed(self, seed: int) -> "StreamSpec":
-        return StreamSpec(p=self.p, D=self.D, sigma=self.sigma, seed=int(seed),
-                          design=self.design, cov=self.cov, df=self.df,
-                          theta=self.theta, outlier_prob=self.outlier_prob,
-                          outlier_var=self.outlier_var)
+        return replace(self, seed=int(seed))
 
     def pinned(self) -> "StreamSpec":
         """Same spec with theta made explicit, so reseeding (e.g. per
         Monte Carlo replicate) keeps the truth fixed."""
         if self.theta is not None:
             return self
-        return StreamSpec(p=self.p, D=self.D, sigma=self.sigma, seed=self.seed,
-                          design=self.design, cov=self.cov, df=self.df,
-                          theta=self.resolved_theta(),
-                          outlier_prob=self.outlier_prob,
-                          outlier_var=self.outlier_var)
+        return replace(self, theta=self.resolved_theta())
 
 
 def _chol_factor(spec: StreamSpec) -> np.ndarray | None:

@@ -23,3 +23,18 @@ class ConfigError(CendreError, ValueError):
 
 class UsageError(CendreError, RuntimeError):
     """An operation was invoked on an object in the wrong state."""
+
+
+def config_section(doc, name: str, fields, required=()) -> dict:
+    """doc, once checked to be an object whose keys all lie in fields and
+    include required: the shape check of every config section.  name is
+    the section's dotted path ("stream.cov"), or "config" for the top level."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field {name!r} must be an object")
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"unknown {name} field {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"missing required field '{name}.{key}'")
+    return doc

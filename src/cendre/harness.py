@@ -20,7 +20,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -28,11 +28,11 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .censor import ThresholdPlan, nac_decide, robust_decide
-from .datagen import StreamSpec, generate, materialize, toeplitz_cov
-from .errors import ConfigError, DomainError, SingularityError
+from .datagen import StreamSpec, generate, materialize
+from .errors import ConfigError, DomainError, SingularityError, config_section
 from .estimators import (_PANEL, _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run,
                          preliminary_fit)
-from .ingest import load_csv, surrogate_truth
+from .ingest import _write_json, load_csv, surrogate_truth
 from .likelihood import score_info
 from .numkit.gaussian import gauss_pdf, gauss_q, gauss_q_inv
 from .numkit.rng import derive
@@ -82,8 +82,10 @@ def geometric_schedule(N: int) -> tuple[int, ...]:
 class ExperimentConfig:
     """One experiment: data source, method, censoring, replication.
 
-    Construct directly or from a JSON document via from_dict, which
-    validates field by field.  censor is a normalized mapping such as
+    Construct directly or from a JSON document via from_dict; to_dict
+    writes one back.  Every section of the document (top level, stream,
+    dataset, estimator, censor and their nested objects) is read in one
+    place and rejects unknown keys.  censor is a mapping such as
     {"kind": "constant", "tau": 1.5} or {"kind": "ac-offline",
     "target_pi": 0.75}.
     """
@@ -151,7 +153,8 @@ class ExperimentConfig:
             return
         if c is None:
             raise ConfigError(f"method {self.method!r} requires a 'censor' section")
-        kind = c.get("kind")
+        kind = c.get("kind") if isinstance(c, dict) else None
+        config_section(c, "censor", ("kind", "tau" if kind == "constant" else "target_pi"))
         if kind not in kinds:
             raise ConfigError(
                 f"censor kind {kind!r} is incompatible with method {self.method!r}; "
@@ -184,147 +187,65 @@ class ExperimentConfig:
             raise ConfigError("missing required field 'schema'")
         if schema != 1:
             raise ConfigError(f"unsupported config schema {schema!r}; this build reads schema 1")
-        known = {"schema", "method", "seed", "replicates", "stream", "dataset",
-                 "K", "estimator", "censor", "ratio", "record_at", "passes"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
+        config_section(doc, "config", ("schema", "stream", "dataset", "estimator", "censor",
+                                       *_TOP_FIELDS))
         for key in ("method", "seed"):
             if key not in doc:
                 raise ConfigError(f"missing required field {key!r}")
-        seed = int(doc["seed"])
-
-        stream = None
+        fields = {key: read(doc[key]) for key, read in _TOP_FIELDS.items() if key in doc}
         if doc.get("stream") is not None:
-            stream = _stream_from_dict(doc["stream"], seed)
-
-        dataset_path = None
-        dataset_options: dict = {}
+            fields["stream"] = StreamSpec.from_doc(doc["stream"], fields["seed"])
         if doc.get("dataset") is not None:
-            ds = dict(doc["dataset"])
-            if "path" not in ds:
-                raise ConfigError("missing required field 'dataset.path'")
-            if "target_column" not in ds:
-                raise ConfigError("missing required field 'dataset.target_column'")
-            dataset_path = str(ds.pop("path"))
-            allowed = {"target_column", "header", "delimiter", "drop_non_numeric",
-                       "add_intercept", "skip_bad_rows", "standardize"}
-            for key in ds:
-                if key not in allowed:
-                    raise ConfigError(f"unknown dataset field {key!r}")
-            dataset_options = ds
-
-        est = doc.get("estimator") or {}
-        mu = None
-        if "mu" in est:
-            mu_doc = est["mu"]
-            if not isinstance(mu_doc, dict) or "policy" not in mu_doc or "value" not in mu_doc:
-                raise ConfigError("field 'estimator.mu' must be {policy, value}")
-            mu = StepSize(str(mu_doc["policy"]), float(mu_doc["value"]))
-        epsilon = float(est["epsilon"]) if "epsilon" in est else None
-        tau_out = float(est["tau_out"]) if "tau_out" in est else None
-
-        record_at = tuple(int(n) for n in doc["record_at"]) if "record_at" in doc else None
-
-        return cls(method=str(doc["method"]), seed=seed,
-                   replicates=int(doc.get("replicates", 1)), stream=stream,
-                   dataset_path=dataset_path, dataset_options=dataset_options,
-                   K=int(doc["K"]) if "K" in doc else None, mu=mu,
-                   epsilon=epsilon, censor=doc.get("censor"), tau_out=tau_out,
-                   ratio=float(doc["ratio"]) if "ratio" in doc else None,
-                   record_at=record_at, passes=int(doc.get("passes", 1)),
-                   raw=_deep_copy_json(doc))
+            ds = dict(config_section(doc["dataset"], "dataset", _DATASET_FIELDS,
+                                     required=("path", "target_column")))
+            fields["dataset_path"] = str(ds.pop("path"))
+            fields["dataset_options"] = ds
+        est = config_section(doc.get("estimator") or {}, "estimator", _ESTIMATOR_FIELDS)
+        fields.update((key, read(est[key])) for key, read in _ESTIMATOR_FIELDS.items()
+                      if key in est)
+        return cls(censor=doc.get("censor"), raw=_deep_copy_json(doc), **fields)
 
     def to_dict(self) -> dict:
         """Config echo for summaries; the original document if one exists."""
         if self.raw is not None:
             return _deep_copy_json(self.raw)
-        doc: dict = {"schema": 1, "method": self.method, "seed": self.seed,
-                     "replicates": self.replicates}
+        doc = {key: getattr(self, key) for key in _TOP_FIELDS if getattr(self, key) is not None}
+        doc["schema"] = 1
+        if self.passes == 1:
+            del doc["passes"]
         if self.stream is not None:
-            doc["stream"] = _stream_to_dict(self.stream)
+            doc["stream"] = self.stream.to_doc()
         if self.dataset_path is not None:
             doc["dataset"] = {"path": self.dataset_path, **self.dataset_options}
-        if self.K is not None:
-            doc["K"] = self.K
-        est: dict = {}
-        if self.mu is not None:
-            est["mu"] = {"policy": self.mu.policy, "value": self.mu.value}
-        if self.epsilon is not None:
-            est["epsilon"] = self.epsilon
-        if self.tau_out is not None:
-            est["tau_out"] = self.tau_out
+        est = {key: getattr(self, key) for key in _ESTIMATOR_FIELDS
+               if getattr(self, key) is not None}
         if est:
             doc["estimator"] = est
         if self.censor is not None:
-            doc["censor"] = dict(self.censor)
-        if self.ratio is not None:
-            doc["ratio"] = self.ratio
-        if self.record_at is not None:
-            doc["record_at"] = list(self.record_at)
-        if self.passes != 1:
-            doc["passes"] = self.passes
-        return doc
+            doc["censor"] = self.censor
+        return _deep_copy_json(doc)
 
 
 def _deep_copy_json(doc):
-    return json.loads(json.dumps(doc))
+    """A JSON copy of doc, with a dataclass value (a StepSize) as its fields."""
+    return json.loads(json.dumps(doc, default=asdict))
 
 
-def _stream_from_dict(sd: dict, default_seed: int) -> StreamSpec:
-    if not isinstance(sd, dict):
-        raise ConfigError("field 'stream' must be an object")
-    for key in ("p", "D", "sigma"):
-        if key not in sd:
-            raise ConfigError(f"missing required field 'stream.{key}'")
-    p = int(sd["p"])
-    cov = None
-    cov_doc = sd.get("cov")
-    if cov_doc is not None:
-        if isinstance(cov_doc, dict):
-            kind = cov_doc.get("kind")
-            if kind == "identity":
-                cov = None
-            elif kind == "toeplitz":
-                for key in ("a", "r"):
-                    if key not in cov_doc:
-                        raise ConfigError(f"missing required field 'stream.cov.{key}'")
-                cov = toeplitz_cov(p, float(cov_doc["a"]), float(cov_doc["r"]))
-            elif kind == "explicit":
-                cov = np.asarray(cov_doc.get("matrix"), dtype=np.float64)
-            else:
-                raise ConfigError(f"unknown stream.cov kind {kind!r}")
-        else:
-            cov = np.asarray(cov_doc, dtype=np.float64)
-    outliers = sd.get("outliers") or {}
-    if outliers and ("prob" not in outliers or "var" not in outliers):
-        raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
-    theta = sd.get("theta")
-    try:
-        return StreamSpec(
-            p=p, D=int(sd["D"]), sigma=float(sd["sigma"]),
-            seed=int(sd.get("seed", default_seed)),
-            design=str(sd.get("design", "gaussian")),
-            cov=cov, df=float(sd["df"]) if sd.get("df") is not None else None,
-            theta=None if theta is None else np.asarray(theta, dtype=np.float64),
-            outlier_prob=float(outliers.get("prob", 0.0)),
-            outlier_var=float(outliers.get("var", 0.0)))
-    except DomainError as exc:
-        raise ConfigError(f"invalid 'stream' section: {exc}") from exc
+def _read_mu(doc) -> StepSize:
+    if not isinstance(doc, dict) or "policy" not in doc or "value" not in doc:
+        raise ConfigError("field 'estimator.mu' must be {policy, value}")
+    config_section(doc, "estimator.mu", ("policy", "value"))
+    return StepSize(str(doc["policy"]), float(doc["value"]))
 
 
-def _stream_to_dict(spec: StreamSpec) -> dict:
-    doc: dict = {"p": spec.p, "D": spec.D, "sigma": spec.sigma,
-                 "seed": spec.seed, "design": spec.design}
-    if spec.cov is not None:
-        doc["cov"] = {"kind": "explicit", "matrix": spec.cov.tolist()}
-    if spec.df is not None:
-        doc["df"] = spec.df
-    if spec.theta is not None:
-        doc["theta"] = spec.theta.tolist()
-    if spec.has_outliers:
-        doc["outliers"] = {"prob": spec.outlier_prob, "var": spec.outlier_var}
-    return doc
+# A config's top-level and estimator fields: JSON key, also the attribute
+# name, -> reader.  from_dict reads each key a document has; to_dict
+# writes each attribute that is set.
+_TOP_FIELDS = {"method": str, "seed": int, "replicates": int, "K": int, "ratio": float,
+               "passes": int, "record_at": lambda marks: tuple(int(n) for n in marks)}
+_ESTIMATOR_FIELDS = {"mu": _read_mu, "epsilon": float, "tau_out": float}
+_DATASET_FIELDS = ("path", "target_column", "header", "delimiter", "drop_non_numeric",
+                   "add_intercept", "skip_bad_rows", "standardize")
 
 
 # ---------------------------------------------------------------------
@@ -1009,11 +930,7 @@ def write_results_csv(traces, path) -> Path:
 
 
 def write_summary_json(result: MonteCarloResult, path) -> Path:
-    path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(result.summary_doc(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_json(result.summary_doc(), path)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, stem: str = "results") -> dict:

@@ -84,6 +84,8 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     non-finite value, the file is read again cell by cell with
     csv.reader and float().  Only that path applies the policies below,
     logs and raises, so both paths give the same arrays, log and errors.
+    A file with no feature column left after drops and the intercept
+    raises DomainError.
 
     Parameters
     ----------
@@ -159,8 +161,6 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
             for j in bad:
                 log.append(f"dropped non-numeric column {names[j]!r}")
             feature_idx = [j for j in feature_idx if j not in bad]
-            if bad and not feature_idx:
-                raise DomainError(f"{path}: no numeric feature columns left")
 
         keep_idx = feature_idx + [target_idx]
         clean: list[list[float]] = []
@@ -196,6 +196,8 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
         column_names = ["intercept"] + column_names
         log.append("added intercept column")
 
+    if design.shape[1] == 0:
+        raise DomainError(f"{path}: no numeric feature columns left")
     if design.shape[0] <= design.shape[1]:
         raise DomainError(
             f"{path}: need more rows than features, got D={design.shape[0]}, p={design.shape[1]}")
@@ -240,7 +242,13 @@ def write_sidecar(ds: Dataset, csv_path) -> Path:
     doc = {"source": ds.provenance["source"], "log": ds.provenance["log"],
            "rows": ds.D, "feature_columns": ds.column_names,
            "response_column": ds.response_name}
-    with open(out, "w") as fh:
+    return _write_json(doc, out)
+
+
+def _write_json(doc, path) -> Path:
+    """Write doc as sorted JSON indented by two, plus a newline."""
+    path = Path(path)
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return out
+    return path

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_run_env_seed_fills_missing(tmp_path, monkeypatch):
     assert summary["config"]["seed"] == 17
 
 
+def test_run_seed_sources_on_bad_documents(tmp_path, monkeypatch, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["run", "--config", str(listed), "--seed", "3"]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    doc = _basic_doc()
+    del doc["seed"]
+    cfg = _run_config(tmp_path, doc)
+    monkeypatch.setenv("CENDRE_SEED", "not-a-number")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_run_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -313,3 +327,15 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "methods:" in proc.stdout
+
+
+def test_tracer_binds_every_required_boundary():
+    # perfbench's span tracer wraps names where cendre modules import them
+    # and raises MissingBoundary when one it needs is gone.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys, cendre.cli; sys.path.insert(0, sys.argv[1]); "
+            "from tracer import Tracer; Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "MissingBoundary" not in proc.stderr

@@ -1,10 +1,12 @@
 """Synthetic stream generation: reproducibility and moment checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cendre.datagen import StreamSpec, full_lse_mse, generate, materialize, toeplitz_cov
-from cendre.errors import DomainError
+from cendre.errors import ConfigError, DomainError
 
 
 def test_toeplitz_cov_values():
@@ -21,6 +23,31 @@ def test_toeplitz_cov_domain():
         toeplitz_cov(3, a=0.0, r=0.5)
     with pytest.raises(DomainError):
         toeplitz_cov(3, a=1.0, r=1.0)
+
+
+def test_stream_doc_round_trip():
+    spec = StreamSpec.from_doc({"p": 3, "D": 40, "sigma": 0.5, "design": "student-t", "df": 4,
+                                "cov": {"kind": "toeplitz", "a": 2.0, "r": 0.5},
+                                "theta": [1.0, -2.0, 0.25],
+                                "outliers": {"prob": 0.1, "var": 9.0}}, default_seed=17)
+    assert spec.seed == 17  # no seed key: the default fills it
+    doc = spec.to_doc()
+    assert doc["cov"] == {"kind": "explicit", "matrix": toeplitz_cov(3, 2.0, 0.5).tolist()}
+    assert json.loads(json.dumps(doc)) == doc
+    back = StreamSpec.from_doc(doc, default_seed=99)
+    assert back.to_doc() == doc
+    assert back.seed == 17 and back.df == 4.0
+    np.testing.assert_array_equal(back.theta, spec.theta)
+    for a, b in zip(materialize(back), materialize(spec)):
+        np.testing.assert_array_equal(a, b)
+    # Defaults are left out and read back as defaults.
+    plain = StreamSpec.from_doc({"p": 2, "D": 5, "sigma": 1.0}, default_seed=3)
+    assert plain.to_doc() == {"p": 2, "D": 5, "sigma": 1.0, "seed": 3, "design": "gaussian"}
+
+
+def test_stream_doc_domain_error_is_a_config_error():
+    with pytest.raises(ConfigError, match="invalid 'stream' section: student-t design"):
+        StreamSpec.from_doc({"p": 2, "D": 5, "sigma": 1.0, "design": "student-t"}, 1)
 
 
 def test_spec_validation():

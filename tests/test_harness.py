@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,33 @@ def test_from_dict_estimator_block():
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.mu == StepSize.constant(0.1)
     assert cfg.epsilon == 0.5 and cfg.tau_out == 4.0
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(stream={"p": 3, "D": 200, "sigma": 1.0, "tau_out": 3.0}),
+     "unknown stream field 'tau_out'"),
+    (dict(stream={"p": 3, "D": 200, "sigma": 1.0,
+                  "cov": {"kind": "toeplitz", "a": 1.0, "r": 0.5, "matrix": [[1.0]]}}),
+     "unknown stream.cov field 'matrix'"),
+    (dict(stream={"p": 3, "D": 200, "sigma": 1.0, "cov": {"kind": "identity", "a": 1.0}}),
+     "unknown stream.cov field 'a'"),
+    (dict(stream={"p": 3, "D": 200, "sigma": 1.0,
+                  "outliers": {"prob": 0.1, "var": 4.0, "scale": 2.0}}),
+     "unknown stream.outliers field 'scale'"),
+    (dict(estimator={"epsilonn": 0.5}), "unknown estimator field 'epsilonn'"),
+    (dict(estimator={"mu": {"policy": "constant", "value": 0.1, "decay": 0.5}}),
+     "unknown estimator.mu field 'decay'"),
+    (dict(censor={"kind": "constant", "tau": 0.8, "target_pi": 0.5}),
+     "unknown censor field 'target_pi'"),
+    (dict(censor={"kind": "ac-offline", "target_pi": 0.5, "tau": 0.8}),
+     "unknown censor field 'tau'"),
+    (dict(censor={"kind": "constant", "tau": 0.8, "tau_out": 3.0}),
+     "unknown censor field 'tau_out'"),
+], ids=["stream", "stream.cov-toeplitz", "stream.cov-identity", "stream.outliers",
+        "estimator", "estimator.mu", "censor-constant", "censor-target", "censor-other"])
+def test_every_section_rejects_unknown_keys(over, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(_doc(**over))
 
 
 def test_to_dict_without_raw():

@@ -255,6 +255,16 @@ def test_header_only_file_has_no_usable_rows(tmp_path):
         load_csv(f, "y")
 
 
+def test_file_without_a_feature_column_is_rejected(tmp_path):
+    f = _write(tmp_path, CATALOGUE["target-only"])
+    for policy in POLICIES:
+        fast, slow = _both_paths(f, "y", **policy)
+        assert fast == slow == (DomainError, f"{f}: no numeric feature columns left")
+    ds = load_csv(f, "y", add_intercept=True)  # an intercept alone is a design
+    assert (ds.D, ds.p, ds.column_names) == (3, 1, ["intercept"])
+    np.testing.assert_array_equal(ds.response, [1.0, 2.0, 10.0])
+
+
 def test_row_with_an_extra_field_is_still_a_row_error(tmp_path):
     f = _write(tmp_path, CATALOGUE["extra-field"])
     with pytest.raises(DomainError, match="row 3 has 4 fields, expected 3"):
