@@ -145,14 +145,14 @@ def _cmd_gen(args) -> int:
         a_r = args.cov[len("toeplitz:"):].split(",")
         if len(a_r) != 2:
             raise ConfigError("--cov toeplitz takes two values, e.g. toeplitz:2,0.5")
-        stream["cov"] = {"kind": "toeplitz", "a": float(a_r[0]), "r": float(a_r[1])}
+        stream["cov"] = {"kind": "toeplitz", "a": a_r[0], "r": a_r[1]}
     elif args.cov != "identity":
         raise ConfigError(f"unknown --cov {args.cov!r}; use 'identity' or 'toeplitz:a,r'")
     if args.outliers is not None:
         prob_var = args.outliers.split(",")
         if len(prob_var) != 2:
             raise ConfigError("--outliers takes PROB,VAR, e.g. 0.05,225")
-        stream["outliers"] = {"prob": float(prob_var[0]), "var": float(prob_var[1])}
+        stream["outliers"] = {"prob": prob_var[0], "var": prob_var[1]}
     spec = StreamSpec.from_doc(stream, seed)
     X, y = materialize(spec)
     args.out.mkdir(parents=True, exist_ok=True)

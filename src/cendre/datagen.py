@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_section
+from .errors import ConfigError, DomainError, config_section, read_field
 from .estimators import batch_lse
 from .numkit.rng import derive, substream
 
@@ -35,6 +35,10 @@ _BLOCK = 1024
 _STREAM_FIELDS = ("p", "D", "sigma", "seed", "design", "cov", "df", "theta", "outliers")
 _COV_FIELDS = {"identity": ("kind",), "toeplitz": ("kind", "a", "r"),
                "explicit": ("kind", "matrix")}
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def toeplitz_cov(p: int, a: float, r: float) -> np.ndarray:
@@ -121,7 +125,11 @@ class StreamSpec:
         at any level, or a spec outside its domain, raises ConfigError.
         """
         sd = config_section(doc, "stream", _STREAM_FIELDS, required=("p", "D", "sigma"))
-        p = int(sd["p"])
+
+        def read(key, cast=float, section=sd, name="stream"):
+            return read_field(cast, section[key], f"{name}.{key}")
+
+        p = read("p", int)
         cov = sd.get("cov")
         if isinstance(cov, dict):
             kind = cov.get("kind")
@@ -130,21 +138,27 @@ class StreamSpec:
             config_section(cov, "stream.cov", _COV_FIELDS[kind],
                            required=("a", "r") if kind == "toeplitz" else ())
             if kind == "toeplitz":
-                cov = toeplitz_cov(p, float(cov["a"]), float(cov["r"]))
+                cov = toeplitz_cov(p, read("a", section=cov, name="stream.cov"),
+                                   read("r", section=cov, name="stream.cov"))
             else:
-                cov = None if kind == "identity" else np.asarray(cov.get("matrix"), float)
+                cov = None if kind == "identity" else \
+                    read_field(_float_array, cov.get("matrix"), "stream.cov.matrix")
+        elif cov is not None:
+            cov = read("cov", _float_array)
         outliers = sd.get("outliers") or {}
         if outliers and ("prob" not in outliers or "var" not in outliers):
             raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
         config_section(outliers, "stream.outliers", ("prob", "var"))
         try:
-            return cls(p=p, D=int(sd["D"]), sigma=float(sd["sigma"]),
-                       seed=int(sd.get("seed", default_seed)),
+            return cls(p=p, D=read("D", int), sigma=read("sigma"),
+                       seed=read_field(int, sd.get("seed", default_seed), "stream.seed"),
                        design=str(sd.get("design", "gaussian")), cov=cov,
-                       df=float(sd["df"]) if sd.get("df") is not None else None,
-                       theta=sd.get("theta"),
-                       outlier_prob=float(outliers.get("prob", 0.0)),
-                       outlier_var=float(outliers.get("var", 0.0)))
+                       df=read("df") if sd.get("df") is not None else None,
+                       theta=read("theta", _float_array) if sd.get("theta") is not None else None,
+                       outlier_prob=read_field(float, outliers.get("prob", 0.0),
+                                               "stream.outliers.prob"),
+                       outlier_var=read_field(float, outliers.get("var", 0.0),
+                                              "stream.outliers.var"))
         except DomainError as exc:
             raise ConfigError(f"invalid 'stream' section: {exc}") from exc
 

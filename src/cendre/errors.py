@@ -38,3 +38,14 @@ def config_section(doc, name: str, fields, required=()) -> dict:
         if key not in doc:
             raise ConfigError(f"missing required field '{name}.{key}'")
     return doc
+
+
+def read_field(read, value, name: str):
+    """read(value), with read a cast such as int or float: a value it
+    cannot convert raises ConfigError naming the field (its dotted path)."""
+    try:
+        return read(value)
+    except CendreError:
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {name!r} has invalid value {value!r}") from None

@@ -29,7 +29,7 @@ from scipy.linalg.blas import dgemm
 
 from .censor import ThresholdPlan, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize
-from .errors import ConfigError, DomainError, SingularityError, config_section
+from .errors import ConfigError, DomainError, SingularityError, config_section, read_field
 from .estimators import (_PANEL, _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run,
                          preliminary_fit)
 from .ingest import _write_json, load_csv, surrogate_truth
@@ -165,14 +165,15 @@ class ExperimentConfig:
         if kind == "constant":
             if "tau" not in c:
                 raise ConfigError("censor kind 'constant' requires field 'tau'")
-            if not (float(c["tau"]) >= 0.0 and math.isfinite(float(c["tau"]))):
+            tau = read_field(float, c["tau"], "censor.tau")
+            if not (tau >= 0.0 and math.isfinite(tau)):
                 raise ConfigError("field 'censor.tau' must be finite and >= 0")
-            if self.tau_out is not None and not float(c["tau"]) < self.tau_out:
+            if self.tau_out is not None and not tau < self.tau_out:
                 raise ConfigError("field 'censor.tau' must be below 'estimator.tau_out'")
         else:
             if "target_pi" not in c:
                 raise ConfigError(f"censor kind {kind!r} requires field 'target_pi'")
-            pi = float(c["target_pi"])
+            pi = read_field(float, c["target_pi"], "censor.target_pi")
             if not 0.0 <= pi < 1.0:
                 raise ConfigError("field 'censor.target_pi' must lie in [0, 1)")
 
@@ -192,7 +193,8 @@ class ExperimentConfig:
         for key in ("method", "seed"):
             if key not in doc:
                 raise ConfigError(f"missing required field {key!r}")
-        fields = {key: read(doc[key]) for key, read in _TOP_FIELDS.items() if key in doc}
+        fields = {key: read_field(read, doc[key], key)
+                  for key, read in _TOP_FIELDS.items() if key in doc}
         if doc.get("stream") is not None:
             fields["stream"] = StreamSpec.from_doc(doc["stream"], fields["seed"])
         if doc.get("dataset") is not None:
@@ -201,8 +203,8 @@ class ExperimentConfig:
             fields["dataset_path"] = str(ds.pop("path"))
             fields["dataset_options"] = ds
         est = config_section(doc.get("estimator") or {}, "estimator", _ESTIMATOR_FIELDS)
-        fields.update((key, read(est[key])) for key, read in _ESTIMATOR_FIELDS.items()
-                      if key in est)
+        fields.update((key, read_field(read, est[key], f"estimator.{key}"))
+                      for key, read in _ESTIMATOR_FIELDS.items() if key in est)
         return cls(censor=doc.get("censor"), raw=_deep_copy_json(doc), **fields)
 
     def to_dict(self) -> dict:
@@ -235,7 +237,7 @@ def _read_mu(doc) -> StepSize:
     if not isinstance(doc, dict) or "policy" not in doc or "value" not in doc:
         raise ConfigError("field 'estimator.mu' must be {policy, value}")
     config_section(doc, "estimator.mu", ("policy", "value"))
-    return StepSize(str(doc["policy"]), float(doc["value"]))
+    return StepSize(str(doc["policy"]), read_field(float, doc["value"], "estimator.mu.value"))
 
 
 # A config's top-level and estimator fields: JSON key, also the attribute
@@ -446,19 +448,24 @@ class _Lockstep:
     The gate (none, the NAC interval term, the AC skip, the robust clip)
     sets a score beta and a weight h per replicate; the recursion is
     theta += mu_n beta x, or P <- (P^-1 + h x x')^-1 and theta += beta P x.
-    samle2 and rls update every P in one batch, gated RLS each stepping
-    P[r] in place by BLAS: the method alone picks the kernel, so a
+    samle2 and rls update every P in one batch, gated RLS and a lone
+    replicate each stepping P[r] in place by BLAS.  Each product and each
+    rank-one entry is computed the same way for one row as for many, so a
     replicate's trace does not depend on its company.
 
-    NAC decisions against the fixed preliminary fits are taken a panel at
-    a time, every replicate stepping on every datum.  On the AC path (lms
-    and rls keep every datum) a censored datum moves neither theta nor
-    P, so each replicate has its own position in the panel.  A round
-    scans each one's innovations ahead over twice the realized mean gap
-    between kept data; those that hit step together, each on its own
-    first kept datum, the others skip the window, and a mark a jump
-    crosses sees the theta from before the step.  All meet at the
-    panel's end.  Multiply ledgers are exact, from kept and clipped.
+    A panel advances in one of three ways.  Every replicate on every
+    datum: NAC decisions against the fixed preliminary fits are taken a
+    panel at a time, and lms and rls, which keep every datum, share one
+    position when R > 1.  Desynchronized rounds: on the gated AC path a
+    censored datum moves neither theta nor P, so each replicate has its
+    own position in the panel.  A round scans each one's innovations
+    ahead over twice the realized mean gap between kept data; those that
+    hit step together, each on its own first kept datum, and the others
+    skip the window.  One lone replicate: with R = 1, or once the others
+    reach the panel's end, _lone runs the same rounds on slices of one
+    row, its per-replicate values Python numbers.  A mark a jump crosses
+    sees the theta from before the step, and all meet at the panel's
+    end.  Multiply ledgers are exact, from kept and clipped.
     """
 
     def __init__(self, cfg: ExperimentConfig, R: int, theta_o, sigma: float, prelims, marks):
@@ -493,8 +500,24 @@ class _Lockstep:
     def update(self, rows, x, beta, h, n) -> None:
         """One recursion step of replicates `rows` (all when None), row i on
         datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
-        clipped outlier, leaves P alone).  No other replicate is written."""
+        clipped outlier, leaves P alone).  rows may also be one replicate's
+        index, with x of shape (1, p) and beta, h and n numbers.  No other
+        replicate is written."""
         theta, P = self.theta, self.P
+        if isinstance(rows, int):  # one replicate, on 1-row arrays and numbers
+            if self.mu is not None:
+                theta[rows] += (self.mu.at(n) * beta) * x[0]
+                return
+            v = np.matmul(P[rows:rows + 1], x[:, :, None])[:, :, 0]
+            s = float(np.einsum("rp,rp->r", x, v)[0])
+            denom = 1.0 + (s if h is None else h * s)
+            if abs(denom) < _SINGULAR_TOL:
+                raise self._breakdown(n)
+            k = v[0] * (1.0 / denom)
+            theta[rows] += beta * k
+            if h is None or h:
+                dgemm(-1.0, v[0, :, None], k[None], 1.0, self.P_fortran[rows], overwrite_c=1)
+            return
         every = rows is None or rows.size == theta.shape[0]
         if self.mu is not None:
             d = (self.mu.at(n) * beta)[:, None] * x
@@ -509,10 +532,7 @@ class _Lockstep:
             denom = 1.0 + (s if h is None else h * s)
             bad = np.abs(denom) < _SINGULAR_TOL
             if bad.any():
-                step = np.broadcast_to(n, bad.shape)[bad].min()
-                raise SingularityError(f"{self.method} broke down at step {step}: "
-                                       f"{'information ' * (self.method == 'samle2')}update "
-                                       "denominator vanished")
+                raise self._breakdown(np.broadcast_to(n, bad.shape)[bad].min())
             k = v * (1.0 / denom)[:, None]  # the updated P times x
             d = beta[:, None] * k
         if every:
@@ -529,6 +549,11 @@ class _Lockstep:
                 # P[r] -= k v' as a gemm of inner dimension 1: OpenBLAS keeps it
                 # on one thread, where dger woke two at p = 200, twice as slow.
                 dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
+
+    def _breakdown(self, step) -> SingularityError:
+        return SingularityError(f"{self.method} broke down at step {step}: "
+                                f"{'information ' * (self.method == 'samle2')}update "
+                                "denominator vanished")
 
     def _record(self, rows, upto) -> None:
         """Record every mark of replicate rows[i] up to its step upto[i]
@@ -578,59 +603,39 @@ class _Lockstep:
             self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
             # P[r].T is a Fortran-order view, which BLAS updates in place.
             self.P_fortran = list(self.P.transpose(0, 2, 1))
-        fixed = self.plan is not None and not self.online  # tau depends on n alone
-        panel_tau = self.plan.thresholds(self.n + 1, self.n + 1 + m) if fixed else None
+        panel_tau = None
+        if self.plan is not None and not self.online:  # tau depends on n alone
+            panel_tau = self._under_clip(self.plan.thresholds(self.n + 1, self.n + 1 + m))
         ahead = np.arange(m)[:, None]
         act, a, front = np.arange(R), np.zeros(R, dtype=np.int64), 0  # active, positions, lead
-        while act.size:
-            # Twice the mean gap (the lead's steps over the mean kept count).  In
-            # sync, all share one position: a slice, and Python scalars.
-            B = max(1, (2 * (self.n + front) + 1) * R // (self._kept_sum + R)) if self.gated else 1
-            sync = act.size == 1 or not self.gated
-            if sync:
-                n, rs = self.n + front, slice(None) if act.size == R else slice(act[0], act[0] + 1)
-                B = lim = min(B, m - front)
-                at = ahead[front:front + B]
-                Xw, Yw = X[front:front + B, rs], Y[front:front + B, rs]
-            else:
+        while act.size > 1:
+            if self.gated:
+                B = self._window(self.n + front, R)
                 n, rs = self.n + a, act if act.size < R else slice(None)
                 lim = B if front + B <= m else np.minimum(m - a, B)
                 at = np.minimum(a + ahead[:B], m - 1)
                 Xw, Yw = X[at, act], Y[at, act]
+            else:  # every replicate keeps every datum: one shared position
+                n, rs, B = self.n + front, slice(None), 1
+                Xw, Yw = X[front:front + 1], Y[front:front + 1]
             E = Yw - np.einsum("brp,rp->br", Xw, self.theta[rs])
             watch = self._soonest <= self.n + front + B  # a mark may fall in this round
-            j, got, rows, bad = 0, True, None, False
             if self.gated:
-                if self.online:
-                    steps = n + 1 + ahead[:B]
-                    q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
-                    tau = self.plan.thresholds(1, B + 1, quadratic_form=q)
-                else:
-                    tau = panel_tau[at]
-                if self.tau_out is not None:
-                    tau = np.minimum(tau, self.tau_out)  # the clip wins during warm-up
-                hit = np.abs(E) >= tau * self.sigma
-                bad = self.tau_out is not None and not np.isfinite(E.sum())
-                if bad:
-                    hit |= ~np.isfinite(E)  # the robust rule raises on these
+                tau = self._online_tau(Xw, rs, n) if self.online else panel_tau[at]
+                hit, bad = self._hits(E, tau * self.sigma)
                 if lim is not B:
                     hit &= ahead[:B] < lim
-                if sync:
-                    j = int(hit.argmax())
-                    j, got, rows = (j, True, act) if hit[j, 0] else (B, False, act[:0])
-                else:
-                    got = hit.any(axis=0)
-                    j = np.where(got, hit.argmax(axis=0), lim)
+                got = hit.any(axis=0)
+                j = np.where(got, hit.argmax(axis=0), lim)
                 if watch:  # marks inside a jump see the theta before its step
                     self._record(act, n + j)
-            if sync:
-                k, step = j, n + j + 1  # the kept data in E
-                front += j + got
-            else:
                 cols = got.nonzero()[0]
                 k, rows = (j[cols], cols), act[cols]
                 a += j + got
                 step, front = self.n + a[cols], int(a.max())
+            else:
+                k, rows, step = 0, None, n + 1
+                front += 1
             if rows is None or rows.size:
                 beta, x, h = E[k], Xw[k], None
                 if self.tau_out is not None:
@@ -642,9 +647,80 @@ class _Lockstep:
                 if watch:
                     self._record(act if rows is None else rows, step)
             if front >= m:  # drop the replicates at the panel's end
-                act, a = (act[:0], a) if sync else (act[a < m], a[a < m])
+                act, a = (act[a < m], a[a < m]) if self.gated else (act[:0], a)
                 front = int(a.max()) if act.size else 0
+        if act.size:
+            self._lone(int(act[0]), front, Y, X, panel_tau)
         self.n += m
+
+    def _lone(self, r, a, Y, X, panel_tau) -> None:
+        """The rounds of ac_panel for one active replicate r, from its
+        position a to the panel's end: each window a slice, and every value
+        of the replicate's own a Python number."""
+        m, R = Y.shape
+        rs, act, sigma, tau_out = slice(r, r + 1), np.array([r]), self.sigma, self.tau_out
+        cut = None if panel_tau is None else panel_tau * sigma
+        while a < m:
+            n = self.n + a
+            B = min(self._window(n, R), m - a) if self.gated else 1
+            Xw = X[a:a + B, rs]
+            E = (Y[a:a + B, rs] - np.einsum("brp,rp->br", Xw, self.theta[rs]))[:, 0]
+            watch = self._soonest <= n + B  # a mark may fall in this round
+            j, got, bad = 0, True, False
+            if self.gated:
+                if self.online:
+                    tau = self._online_tau(Xw, rs, n)[:, 0]
+                    hit, bad = self._hits(E, tau * sigma)
+                else:
+                    tau = panel_tau[a:a + B]
+                    hit, bad = self._hits(E, cut[a:a + B])
+                j = int(hit.argmax())
+                got = bool(hit[j])
+                j = j if got else B
+                if watch:  # marks inside a jump see the theta before its step
+                    self._record(act, n + j)
+            a += j + got
+            if not got:
+                continue
+            e, h = float(E[j]), None
+            if tau_out is not None:
+                if bad and not math.isfinite(e):
+                    robust_decide(e, sigma, float(tau[j]), tau_out)
+                if abs(e) >= tau_out * sigma:  # an outlier: clip its score, keep P
+                    e, h = math.copysign(tau_out * sigma, e), 0.0
+                    self.clipped[r] += 1
+            self.kept[r] += 1
+            self._kept_sum += 1
+            self.rounds += 1
+            self.update(r, Xw[j], e, h, n + j + 1)
+            if watch:
+                self._record(act, n + j + 1)
+
+    def _window(self, lead: int, R: int) -> int:
+        """Data a round scans: twice the realized mean gap between kept data,
+        the lead's steps over the mean kept count."""
+        return max(1, (2 * lead + 1) * R // (self._kept_sum + R))
+
+    def _hits(self, E, cut):
+        """(where |E| >= cut, bad): bad when, with tau_out, E holds a value
+        that is not finite, which is then a hit too, for the robust rule
+        raises on it."""
+        hit = np.abs(E) >= cut
+        bad = self.tau_out is not None and not np.isfinite(E.sum())
+        if bad:
+            hit |= ~np.isfinite(E)
+        return hit, bad
+
+    def _under_clip(self, tau):
+        """tau capped at tau_out: the clip wins while a plan warms up."""
+        return tau if self.tau_out is None else np.minimum(tau, self.tau_out)
+
+    def _online_tau(self, Xw, rs, n):
+        """ac-online thresholds of a window Xw (B, r, p) of replicates rs, whose
+        first data are steps n + 1: from x'Px (n-1)/n, under the clip."""
+        steps = n + 1 + np.arange(len(Xw))[:, None]
+        q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
+        return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
 
     def _clip(self, rows, e, tau, check):
         """Robust rule on the kept innovations e of replicates rows (checked

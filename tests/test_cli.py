@@ -193,6 +193,23 @@ def test_run_config_errors(tmp_path, capsys):
     assert "censor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field", [
+    (("run", "stream", {"p": "x", "D": 64, "sigma": 1.0}), "stream.p"),
+    (("run", "censor", {"kind": "ac-offline", "target_pi": "high"}), "censor.target_pi"),
+    (("run", "estimator", {"epsilon": "small"}), "estimator.epsilon"),
+    (("gen", "--cov", "toeplitz:x,0.5"), "stream.cov.a"),
+], ids=["stream.p", "censor.target_pi", "estimator.epsilon", "gen-cov"])
+def test_wrong_value_type_is_a_config_error(tmp_path, capsys, command, field):
+    if command[0] == "run":
+        cfg = _run_config(tmp_path, _basic_doc(**{command[1]: command[2]}))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["gen", "--p", "2", "--D", "9", "--sigma", "1.0", "--seed", "1",
+                *command[1:], "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"config error: field '{field}' has invalid value" in capsys.readouterr().err
+
+
 def test_run_numerical_failure_exit_code(tmp_path, capsys):
     # A dataset with a duplicated column makes the full-data normal
     # equations singular; that is a numerical failure, not a config one.

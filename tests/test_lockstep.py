@@ -108,8 +108,8 @@ def assert_matches(trace, want):
     np.testing.assert_allclose(trace.final_theta, want["theta"], rtol=TOL, atol=TOL)
 
 
-def _stream_cfg(method, censor=None, **over):
-    stream = StreamSpec(p=4, D=700, sigma=1.0, seed=5, outlier_prob=0.05, outlier_var=25.0)
+def _stream_cfg(method, censor=None, D=700, **over):
+    stream = StreamSpec(p=4, D=D, sigma=1.0, seed=5, outlier_prob=0.05, outlier_var=25.0)
     if method in ("lms", "ac-lms", "rac-lms"):
         over.setdefault("mu", StepSize.diminishing(0.5))
     if method in ("rac-lms", "rac-rls"):
@@ -136,12 +136,19 @@ CASES = [
 ]
 
 
+# Three panels.  The last replicate of a panel steps alone to its end (in
+# the first panel, from datum 515 on, clipping outliers), and the next panel
+# starts all three in company again.
+PANELS = [("rac-rls", {"kind": "ac-offline", "target_pi": 0.9}, 2500)]
+
+
 def _ids(case):
-    method, censor = case
-    return method if censor is None else f"{method}-{censor['kind']}"
+    method, censor = case[:2]
+    name = method if censor is None else f"{method}-{censor['kind']}"
+    return name if len(case) == 2 else f"{name}-D{case[2]}"
 
 
-@pytest.mark.parametrize("case", CASES, ids=[_ids(c) for c in CASES])
+@pytest.mark.parametrize("case", CASES + PANELS, ids=[_ids(c) for c in CASES + PANELS])
 def test_lockstep_matches_scalar_classes(case):
     cfg = _stream_cfg(*case)
     res = monte_carlo(cfg)
