@@ -129,27 +129,27 @@ class StreamSpec:
         def read(key, cast=float, section=sd, name="stream"):
             return read_field(cast, section[key], f"{name}.{key}")
 
-        p = read("p", int)
-        cov = sd.get("cov")
-        if isinstance(cov, dict):
-            kind = cov.get("kind")
-            if kind not in _COV_FIELDS:
-                raise ConfigError(f"unknown stream.cov kind {kind!r}")
-            config_section(cov, "stream.cov", _COV_FIELDS[kind],
-                           required=("a", "r") if kind == "toeplitz" else ())
-            if kind == "toeplitz":
-                cov = toeplitz_cov(p, read("a", section=cov, name="stream.cov"),
-                                   read("r", section=cov, name="stream.cov"))
-            else:
-                cov = None if kind == "identity" else \
-                    read_field(_float_array, cov.get("matrix"), "stream.cov.matrix")
-        elif cov is not None:
-            cov = read("cov", _float_array)
-        outliers = sd.get("outliers") or {}
-        if outliers and ("prob" not in outliers or "var" not in outliers):
-            raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
-        config_section(outliers, "stream.outliers", ("prob", "var"))
         try:
+            p = read("p", int)
+            cov = sd.get("cov")
+            if isinstance(cov, dict):
+                kind = cov.get("kind")
+                if kind not in _COV_FIELDS:
+                    raise ConfigError(f"unknown stream.cov kind {kind!r}")
+                config_section(cov, "stream.cov", _COV_FIELDS[kind],
+                               required=("a", "r") if kind == "toeplitz" else ())
+                if kind == "toeplitz":
+                    cov = toeplitz_cov(p, read("a", section=cov, name="stream.cov"),
+                                       read("r", section=cov, name="stream.cov"))
+                else:
+                    cov = None if kind == "identity" else \
+                        read_field(_float_array, cov.get("matrix"), "stream.cov.matrix")
+            elif cov is not None:
+                cov = read("cov", _float_array)
+            outliers = sd.get("outliers") or {}
+            if outliers and ("prob" not in outliers or "var" not in outliers):
+                raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
+            config_section(outliers, "stream.outliers", ("prob", "var"))
             return cls(p=p, D=read("D", int), sigma=read("sigma"),
                        seed=read_field(int, sd.get("seed", default_seed), "stream.seed"),
                        design=str(sd.get("design", "gaussian")), cov=cov,

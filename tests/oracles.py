@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: interval
 probabilities come from adaptive quadrature of the density, quantiles
-from bisection, Hadamard products from the explicit matrix, inverse
-updates from dense re-inversion, and derivatives from central
-differences.  Slow and obvious beats fast and clever in an oracle.
+from bisection, Hadamard products from the explicit matrix or a
+stage-by-stage butterfly, inverse updates from dense re-inversion, and
+derivatives from central differences.  Slow and obvious beats fast and
+clever in an oracle.
 """
 
 import numpy as np
@@ -48,6 +49,24 @@ def hadamard_matrix(n):
     while H.shape[0] < n:
         H = np.block([[H, H], [H, -H]])
     return H
+
+
+def fwht_stagewise(v):
+    """Walsh-Hadamard transform of v along axis 0, returned as a new
+    float64 array: one butterfly stage at a time over the whole array,
+    three numpy passes a stage, half-widths 1, 2, 4, ... in order."""
+    v = np.array(v, dtype=np.float64, order="C")
+    n = v.shape[0]
+    work = v.reshape(n, -1)
+    h = 1
+    while h < n:
+        blocks = work.reshape(n // (2 * h), 2, h, -1)
+        top, bottom = blocks[:, 0], blocks[:, 1]
+        diff = top - bottom
+        top += bottom
+        bottom[...] = diff
+        h *= 2
+    return v
 
 
 def dense_inverse_update(C, x, w):

@@ -210,6 +210,22 @@ def test_wrong_value_type_is_a_config_error(tmp_path, capsys, command, field):
     assert f"config error: field '{field}' has invalid value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("a, r, bound", [(-1.0, 0.5, "a > 0"), (1.0, 1.5, "|r| < 1")],
+                         ids=["a", "r"])
+def test_toeplitz_cov_outside_domain_is_a_config_error(tmp_path, capsys, command, a, r, bound):
+    if command == "run":
+        stream = {"p": 2, "D": 9, "sigma": 1.0, "cov": {"kind": "toeplitz", "a": a, "r": r}}
+        cfg = _run_config(tmp_path, _basic_doc(stream=stream))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["gen", "--p", "2", "--D", "9", "--sigma", "1", "--seed", "1",
+                "--cov", f"toeplitz:{a},{r}", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid 'stream' section: toeplitz_cov needs {bound}" in err
+
+
 def test_run_numerical_failure_exit_code(tmp_path, capsys):
     # A dataset with a duplicated column makes the full-data normal
     # equations singular; that is a numerical failure, not a config one.

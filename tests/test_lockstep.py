@@ -428,3 +428,16 @@ def test_lockstep_marks_inside_jumps(method):
             np.testing.assert_array_equal(getattr(alone, field), getattr(trace, field))
         X, y = materialize(spec.with_seed(seed))
         assert_matches(trace, scalar_trial(cfg, X, y, spec.theta, spec.sigma))
+
+
+@pytest.mark.xfail(reason="FOUND 12", raises=AssertionError)
+def test_rac_rls_ac_online_tracks_its_target():
+    # rac-rls with an ac-online plan keeps almost every datum and
+    # diverges on a stream with outliers, where ac-rls converges.
+    stream = StreamSpec(p=30, D=500, sigma=1.0, seed=3, outlier_prob=0.05, outlier_var=25.0)
+    censor = {"kind": "ac-online", "target_pi": 0.6}
+    robust, plain = (monte_carlo(ExperimentConfig(method=method, seed=3, replicates=1,
+                                                  stream=stream, censor=censor, **over)).traces[0]
+                     for method, over in (("rac-rls", {"tau_out": 3.0}), ("ac-rls", {})))
+    assert abs(robust.censor_ratio[-1] - 0.6) <= 0.1
+    assert robust.mse[-1] <= 10.0 * plain.mse[-1]

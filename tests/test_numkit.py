@@ -281,6 +281,59 @@ def test_fwht_rejects_non_power_of_two():
             fwht_in_place(np.zeros(n))
 
 
+def _signed_zeros(shape, seed=17):
+    """Normal draws with about 20% zeros, every entry's sign random, so
+    -0.0 appears as often as +0.0."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(shape) < 0.2, 0.0, rng.standard_normal(shape))
+    return x * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# Rows per cache block (1 MiB of rows): 131072 at width 1, 2048 at 51
+# (11 stages inside a block), 512 at 201 (9), 16 at 5000 (4), and a
+# single row at 70000, where every stage runs over the whole array.
+_FWHT_CASES = (
+    [((n,), "c") for n in (1, 2, 8, 1 << 17, 1 << 18, 1 << 19)]
+    + [((n, 1), "c") for n in (4, 1 << 18)]
+    + [((n, 51), "c") for n in (2048, 4096, 16384)]
+    + [((n, 201), "c") for n in (512, 1024, 4096)]
+    + [((n, 5000), "c") for n in (16, 64, 128)]
+    + [((n, 70000), "c") for n in (1, 2, 8)]
+    + [((4096, 51), layout) for layout in ("fortran", "strided", "int")]
+    + [((64, 3, 5), "c"), ((64, 3, 5), "strided"), ((8, 0), "c"), ((8, 0, 3), "c"),
+       ((1 << 18,), "strided")]
+)
+
+
+@pytest.mark.parametrize("shape, layout", _FWHT_CASES)
+def test_fwht_matches_stagewise_oracle(shape, layout):
+    x = _signed_zeros(shape)
+    if layout == "int":
+        x = np.rint(100.0 * x).astype(np.int64)
+    want = oracles.fwht_stagewise(x)
+    if layout == "strided":
+        base = np.zeros((2 * shape[0],) + shape[1:])
+        base[::2] = x
+        arg = base[::2]
+    else:
+        arg = np.asfortranarray(x) if layout == "fortran" else x.copy()
+    out = fwht_in_place(arg)
+    if layout == "int":
+        np.testing.assert_array_equal(arg, x)
+    else:
+        assert out is arg
+    if layout == "strided":
+        np.testing.assert_array_equal(base[1::2], 0.0)
+        np.testing.assert_array_equal(np.signbit(base[1::2]), False)
+    _assert_bitwise(out, want)
+
+
 # ---------------------------------------------------------------------
 # cholesky_solve
 # ---------------------------------------------------------------------

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from cendre import sketch
 from cendre.errors import DomainError
 from cendre.numkit import substream
 from cendre.sketch import ReducedProblem, solve_reduced, srht_reduce, uniform_reduce
 
-from oracles import hadamard_matrix
+from oracles import fwht_stagewise, hadamard_matrix
 
 
 def _problem(seed, D, p, sigma=0.5):
@@ -37,6 +38,26 @@ def test_transform_matches_dense_hadamard():
     mixed = H @ (signs[:, None] * np.column_stack([X, y]))
     np.testing.assert_allclose(red.rows, mixed[selected][:, :3], rtol=1e-10)
     np.testing.assert_allclose(red.rhs, mixed[selected][:, 3], rtol=1e-10)
+
+
+def test_srht_matches_stagewise_transform(monkeypatch):
+    # D' = 8192 rows of width 51 span several cache blocks of the
+    # transform; the reduction must not depend on how its stages run.
+    X, y = _problem(6, 5000, 50)
+    got = srht_reduce(X, y, d=400, seed=12)
+
+    def stagewise(work):
+        work[...] = fwht_stagewise(work)
+        return work
+
+    monkeypatch.setattr(sketch, "fwht_in_place", stagewise)
+    want = srht_reduce(X, y, d=400, seed=12)
+    for field in ("rows", "rhs"):
+        a, b = getattr(got, field), getattr(want, field)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+    np.testing.assert_array_equal(got.selected_indices, want.selected_indices)
+    assert got.scale == want.scale
 
 
 def test_energy_preserved_before_subsampling():
