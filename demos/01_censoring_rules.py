@@ -11,7 +11,6 @@ import numpy as np
 
 from cendre import (
     ThresholdPlan,
-    ac_decide,
     censor_prob_clt,
     censor_prob_exact,
     nac_decide,
@@ -27,8 +26,10 @@ from cendre import (
 print("decision rules (sigma = 1)")
 print("  nac_decide(y=2.0, y_hat=0, tau=1.5)  ->", nac_decide(2.0, 0.0, 1.0, 1.5))
 print("  nac_decide(y=1.0, y_hat=0, tau=1.5)  ->", nac_decide(1.0, 0.0, 1.0, 1.5))
-print("  ac_decide(y=1.0, x=[1,1], theta=[0.2,0.3], tau=0.4) ->",
-      ac_decide(1.0, [1.0, 1.0], [0.2, 0.3], 1.0, 0.4))
+# The adaptive rule is the same test against the latest estimate's x'theta.
+x, theta = np.array([1.0, 1.0]), np.array([0.2, 0.3])
+print("  nac_decide(y=1.0, y_hat=x@theta=0.5, tau=0.4) ->",
+      nac_decide(1.0, float(x @ theta), 1.0, 0.4))
 print("  robust_decide(e=0.5, tau=1, tau_o=3) ->", robust_decide(0.5, 1.0, 1.0, 3.0))
 print("  robust_decide(e=5.0, tau=1, tau_o=3) ->", robust_decide(5.0, 1.0, 1.0, 3.0))
 print()

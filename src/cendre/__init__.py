@@ -8,11 +8,9 @@ data pipelines, and a reproducible Monte Carlo harness with a CLI front
 end.
 """
 
-from .censor import (CensorDecision, ThresholdPlan, ac_decide,
-                     ac_threshold_offline, ac_threshold_online,
-                     ac_threshold_schedule, censor_prob_clt,
-                     censor_prob_exact, nac_decide, nac_threshold_clt,
-                     nac_threshold_exact, robust_decide)
+from .censor import (CensorDecision, ThresholdPlan, ac_threshold_offline,
+                     censor_prob_clt, censor_prob_exact, nac_decide,
+                     nac_threshold_clt, nac_threshold_exact, robust_decide)
 from .datagen import StreamSpec, full_lse_mse, generate, materialize, toeplitz_cov
 from .errors import (CendreError, ConfigError, DomainError, SingularityError,
                      UsageError)
@@ -25,8 +23,7 @@ from .harness import (ExperimentConfig, MonteCarloResult, TrialTrace,
                       write_summary_json)
 from .ingest import (Dataset, load_csv, sidecar_path, surrogate_truth, write_csv,
                      write_sidecar)
-from .likelihood import (CensoredTerm, ScoreInfo, evaluate, info_scalar,
-                         interval_bounds, loss, score_info, score_scalar)
+from .likelihood import CensoredTerm, ScoreInfo, evaluate, loss, score_info
 from .numkit import (cholesky_solve, derive, fwht_in_place, gauss_pdf, gauss_q,
                      gauss_q_inv, interval_log_prob, substream)
 from .sketch import ReducedProblem, solve_reduced, srht_reduce, uniform_reduce
@@ -42,13 +39,11 @@ __all__ = [
     "fwht_in_place", "cholesky_solve",
     "substream", "derive",
     # likelihood
-    "CensoredTerm", "ScoreInfo", "interval_bounds", "loss", "score_scalar",
-    "info_scalar", "evaluate", "score_info",
+    "CensoredTerm", "ScoreInfo", "loss", "evaluate", "score_info",
     # censor
-    "CensorDecision", "ThresholdPlan", "nac_decide", "ac_decide",
-    "robust_decide", "nac_threshold_exact", "censor_prob_exact",
-    "nac_threshold_clt", "censor_prob_clt", "ac_threshold_online",
-    "ac_threshold_offline", "ac_threshold_schedule",
+    "CensorDecision", "ThresholdPlan", "nac_decide", "robust_decide",
+    "nac_threshold_exact", "censor_prob_exact", "nac_threshold_clt",
+    "censor_prob_clt", "ac_threshold_offline",
     # estimators
     "StepSize", "PreliminaryFit", "preliminary_fit", "FirstOrderCensoredMLE",
     "SecondOrderCensoredMLE", "LMS", "RLS", "kaczmarz_run", "batch_lse",

@@ -34,15 +34,12 @@ __all__ = [
     "CensorDecision",
     "ThresholdPlan",
     "nac_decide",
-    "ac_decide",
     "robust_decide",
     "nac_threshold_exact",
     "censor_prob_exact",
     "nac_threshold_clt",
     "censor_prob_clt",
-    "ac_threshold_online",
     "ac_threshold_offline",
-    "ac_threshold_schedule",
 ]
 
 
@@ -76,12 +73,6 @@ def nac_decide(y: float, y_hat: float, sigma: float, tau: float) -> CensorDecisi
     _check_rule_args(sigma, tau, y, y_hat)
     kept = abs(y - y_hat) >= tau * sigma
     return CensorDecision(kept, y if kept else None)
-
-
-def ac_decide(y: float, x, theta, sigma: float, tau: float) -> CensorDecision:
-    """Censor y against the current estimate's prediction x'theta."""
-    y_hat = float(np.asarray(x) @ np.asarray(theta))
-    return nac_decide(y, y_hat, sigma, tau)
 
 
 def robust_decide(e: float, sigma: float, tau: float, tau_o: float) -> CensorDecision:
@@ -161,20 +152,6 @@ def censor_prob_clt(tau: float, p: int, K: int) -> float:
     return 1.0 - 2.0 * gauss_q(tau / math.sqrt(p / K + 1.0))
 
 
-def ac_threshold_online(x, C, n: int, pi_star: float) -> float:
-    """Per-datum AC threshold from the estimator's current step matrix.
-
-    tau_n = sqrt(x'Cx/n + 1) * Q^-1((1-pi*)/2), with C the n-scaled
-    step matrix of the second-order recursion.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _check_pi(pi_star)
-    x = np.asarray(x, dtype=np.float64)
-    q = float(x @ (np.asarray(C) @ x)) / n
-    return math.sqrt(q + 1.0) * _half_tail_quantile(pi_star)
-
-
 def ac_threshold_offline(p: int, n, pi_star: float):
     """Constant-target offline AC threshold at step n (a scalar or an array).
 
@@ -189,29 +166,6 @@ def ac_threshold_offline(p: int, n, pi_star: float):
     _check_pi(pi_star)
     out = np.sqrt(p / ((n - 1) * (1.0 - pi_star)) + 1.0) * _half_tail_quantile(pi_star)
     return out if out.ndim else float(out)
-
-
-def ac_threshold_schedule(p: int, pi_schedule) -> list[float]:
-    """Thresholds for a per-datum target schedule pi*_1..pi*_N.
-
-    tau_1 = 0 (the first datum is kept unconditionally: with nothing
-    accumulated yet there is no basis for discarding it).  For n >= 2
-    the prefactor anticipates the expected kept count sum_{i<n}(1-pi*_i).
-    """
-    if p < 1:
-        raise DomainError("p must be positive")
-    pis = [_check_pi(v) for v in pi_schedule]
-    taus: list[float] = []
-    kept_mass = 0.0
-    for n, pi_n in enumerate(pis, start=1):
-        if n == 1:
-            taus.append(0.0)
-        else:
-            if kept_mass <= 0.0:
-                raise DomainError("empty expected kept mass in schedule prefix")
-            taus.append(math.sqrt(p / kept_mass + 1.0) * _half_tail_quantile(pi_n))
-        kept_mass += 1.0 - pi_n
-    return taus
 
 
 _PLAN_KINDS = ("constant", "nac-exact", "nac-clt", "ac-online", "ac-offline")
@@ -234,6 +188,9 @@ class ThresholdPlan:
     p: int | None = None
     K: int | None = None
     gram_inv: np.ndarray | None = field(default=None, repr=False)
+
+    # (k, tau_n block k) of the block threshold() last read; not a field.
+    _block = (None, None)
 
     def __post_init__(self):
         if self.kind not in _PLAN_KINDS:
@@ -283,31 +240,16 @@ class ThresholdPlan:
 
     # -- queries ------------------------------------------------------
     @property
-    def is_nac(self) -> bool:
-        return self.kind in ("nac-exact", "nac-clt")
-
-    @property
-    def is_ac(self) -> bool:
-        return self.kind in ("ac-online", "ac-offline")
-
-    @property
     def needs_quadratic_form(self) -> bool:
         return self.kind == "ac-online"
-
-    def pi_at(self, n: int) -> float | None:
-        """Target censoring probability for step n (1-based), if any."""
-        if self.kind == "constant":
-            return None
-        if isinstance(self.target_pi, tuple):
-            return self.target_pi[n - 1]
-        return self.target_pi
 
     def threshold(self, n: int, x=None, quadratic_form: float | None = None) -> float:
         """tau_n for step n; x or x'Cx/n supplied by the caller where needed.
 
-        Kinds that depend on n alone read blocks of :meth:`thresholds`
+        Kinds that depend on n alone read a block of :meth:`thresholds`
         computed on first use, so a per-datum caller pays for the vector
-        path once per block of steps, not once per step.
+        path once per block of steps, not once per step.  Only the block
+        last read is held, so memory stays flat over any stream length.
         """
         if n < 1:
             raise DomainError("threshold steps start at n = 1")
@@ -318,13 +260,14 @@ class ThresholdPlan:
                 quadratic_form = np.array([quadratic_form], dtype=np.float64)
             return float(self.thresholds(n, n + 1, x=x, quadratic_form=quadratic_form)[0])
         k, i = divmod(n - 1, _TABLE_BLOCK)
-        block = self._blocks.get(k)
-        if block is None:
+        held, block = self._block
+        if held != k:
             start = k * _TABLE_BLOCK + 1
             stop = start + _TABLE_BLOCK
             if isinstance(self.target_pi, tuple):
                 stop = min(stop, len(self.target_pi) + 1)
-            block = self._blocks[k] = self.thresholds(start, max(start, stop))
+            block = self.thresholds(start, max(start, stop))
+            object.__setattr__(self, "_block", (k, block))
         return float(block[i])
 
     def thresholds(self, start: int, stop: int, x=None, quadratic_form=None) -> np.ndarray:
@@ -358,11 +301,6 @@ class ThresholdPlan:
         return np.concatenate(([0.0], taus)) if start == 1 else taus
 
     @cached_property
-    def _blocks(self) -> dict:
-        """tau_n blocks by (n - 1) // _TABLE_BLOCK, filled as steps ask for them."""
-        return {}
-
-    @cached_property
     def _kept_mass(self) -> np.ndarray:
         """Expected kept count before each step of a per-datum schedule."""
         return np.concatenate(([0.0], np.cumsum([1.0 - v for v in self.target_pi])))
@@ -370,9 +308,3 @@ class ThresholdPlan:
     @cached_property
     def _quantiles(self) -> np.ndarray:
         return _half_tail_quantiles(self.target_pi)
-
-    def schedule(self, upto: int) -> np.ndarray:
-        """tau_1..tau_upto as an array, for kinds that depend only on n."""
-        if self.kind in ("nac-exact", "ac-online"):
-            raise ConfigError(f"{self.kind} thresholds are per-datum; no static schedule")
-        return self.thresholds(1, upto + 1)

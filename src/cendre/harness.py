@@ -27,14 +27,14 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .censor import ThresholdPlan, nac_decide, robust_decide
+from .censor import ThresholdPlan, _half_tail_quantile, nac_decide, robust_decide
 from .datagen import StreamSpec, generate, materialize
 from .errors import ConfigError, DomainError, SingularityError, config_section, read_field
 from .estimators import (_PANEL, _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run,
                          preliminary_fit)
 from .ingest import _write_json, load_csv, surrogate_truth
 from .likelihood import score_info
-from .numkit.gaussian import gauss_pdf, gauss_q, gauss_q_inv
+from .numkit.gaussian import gauss_pdf, gauss_q
 from .numkit.rng import derive
 from .sketch import solve_reduced, srht_reduce, uniform_reduce
 
@@ -922,8 +922,7 @@ def _bound_tau(cfg: ExperimentConfig) -> float:
     if cfg.censor["kind"] == "constant":
         return float(cfg.censor["tau"])
     # Threshold plans converge to the fixed-tau rule with this value.
-    pi = float(cfg.censor["target_pi"])
-    return gauss_q_inv((1.0 - pi) / 2.0) if pi > 0.0 else 0.0
+    return _half_tail_quantile(float(cfg.censor["target_pi"]))
 
 
 def prop_bounds(cfg: ExperimentConfig) -> dict:

@@ -15,12 +15,13 @@ beta is oriented as the DESCENT scalar: theta + mu*beta*x reduces the
 loss, and for an uncensored datum it is exactly the LMS correction
 (y - x'theta)/sigma^2.
 
-beta and h of censored terms come from one array routine, used one term
-at a time by the scalar functions and for many at once by
-:func:`score_info`; the tail regime (interval bounds sharing a sign
-beyond z ~ 6) switches to scaled Mills ratios via erfcx so the beta and
-h ratios stay finite out to arbitrarily distant intervals, approaching
-the clipping limit beta -> z_near/sigma.
+beta and h come from one array routine, :func:`score_info`, which
+serves many terms at once and, through :func:`evaluate`, one term at a
+time; :func:`loss` is the one formula for the loss.  The tail regime of
+censored terms (interval bounds sharing a sign beyond z ~ 6) switches to
+scaled Mills ratios via erfcx so the beta and h ratios stay finite out
+to arbitrarily distant intervals, approaching the clipping limit
+beta -> z_near/sigma.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 from .numkit.gaussian import interval_log_prob
 
 __all__ = [
     "CensoredTerm",
     "ScoreInfo",
-    "interval_bounds",
     "loss",
-    "score_scalar",
-    "info_scalar",
     "evaluate",
     "score_info",
 ]
@@ -91,17 +89,6 @@ class ScoreInfo:
     info: float
 
 
-def interval_bounds(term: CensoredTerm, theta) -> tuple[float, float]:
-    """Standardized censoring-interval endpoints (z_l, z_u) at theta.
-
-    Only meaningful for censored terms; z_u - z_l = 2 tau always.
-    """
-    if not term.censored:
-        raise UsageError("interval_bounds is defined only for censored terms")
-    shift = (float(term.x @ theta) - term.y_or_anchor) / term.sigma
-    return (-term.tau - shift, term.tau - shift)
-
-
 def _censored_scalars(shift, tau, sigma):
     """(beta, h) arrays for censored terms whose prediction sits shift =
     (x'theta - y_hat)/sigma away from the anchor.
@@ -151,19 +138,14 @@ def _mills(z):
     return _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)
 
 
-def _censored_term_scalars(term: CensoredTerm, theta) -> tuple[float, float]:
-    shift = (float(term.x @ theta) - term.y_or_anchor) / term.sigma
-    beta, info = _censored_scalars(shift, term.tau, term.sigma)
-    return float(beta), float(info)
-
-
 def score_info(censored, y_or_anchor, prediction, tau, sigma: float):
     """beta and h of many terms at once, without the loss.
 
-    The vector form of :func:`evaluate`: censored flags, observed values
-    or anchors, predictions x'theta and thresholds tau are arrays of one
-    shape (tau may be a scalar); sigma is shared.  Returns (beta, h)
-    arrays of that shape.
+    Censored flags, observed values or anchors, predictions x'theta and
+    thresholds tau are arrays of one shape (tau may be a scalar); sigma
+    is shared.  Returns (beta, h) arrays of that shape.  h = 1/sigma^2
+    exactly for uncensored terms and lies in (0, 1/sigma^2] for censored
+    ones (an interval never carries more curvature than an observation).
     """
     censored = np.asarray(censored, dtype=bool)
     inv_var = 1.0 / (sigma * sigma)
@@ -182,37 +164,14 @@ def score_info(censored, y_or_anchor, prediction, tau, sigma: float):
 def loss(term: CensoredTerm, theta) -> float:
     """The term's negative log-likelihood contribution at theta."""
     if term.censored:
-        z_l, z_u = interval_bounds(term, theta)
-        return -interval_log_prob(z_l, z_u)
+        shift = (float(term.x @ theta) - term.y_or_anchor) / term.sigma
+        return -interval_log_prob(-term.tau - shift, term.tau - shift)
     resid = term.y_or_anchor - float(term.x @ theta)
     return 0.5 * resid * resid / (term.sigma * term.sigma)
 
 
-def score_scalar(term: CensoredTerm, theta) -> float:
-    """Descent score beta: the term's negative gradient is beta * x."""
-    if term.censored:
-        return _censored_term_scalars(term, theta)[0]
-    return (term.y_or_anchor - float(term.x @ theta)) / (term.sigma * term.sigma)
-
-
-def info_scalar(term: CensoredTerm, theta) -> float:
-    """Information scalar h: the term's Hessian is h * x x'.
-
-    h = 1/sigma^2 exactly for uncensored terms, and lies in
-    (0, 1/sigma^2] for censored ones (an interval can never carry more
-    curvature than an exact observation).
-    """
-    if term.censored:
-        return _censored_term_scalars(term, theta)[1]
-    return 1.0 / (term.sigma * term.sigma)
-
-
 def evaluate(term: CensoredTerm, theta) -> ScoreInfo:
-    """Loss, beta, and h in one pass (shares the interval evaluation)."""
-    if not term.censored:
-        inv_var = 1.0 / (term.sigma * term.sigma)
-        resid = term.y_or_anchor - float(term.x @ theta)
-        return ScoreInfo(0.5 * resid * resid * inv_var, resid * inv_var, inv_var)
-    z_l, z_u = interval_bounds(term, theta)
-    beta, info = _censored_term_scalars(term, theta)
-    return ScoreInfo(-interval_log_prob(z_l, z_u), beta, info)
+    """Loss, beta and h of one term: :func:`loss` and a one-element :func:`score_info`."""
+    beta, info = score_info([term.censored], [term.y_or_anchor], [float(term.x @ theta)],
+                            term.tau, term.sigma)
+    return ScoreInfo(loss(term, theta), float(beta[0]), float(info[0]))

@@ -8,6 +8,8 @@ derivatives from central differences.  Slow and obvious beats fast and
 clever in an oracle.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -39,6 +41,25 @@ def bisect_q_inv(u, lo=-40.0, hi=40.0, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def ac_offline_schedule(p, pis, q_inv):
+    """Offline adaptive-censoring thresholds for a per-datum target
+    schedule pi*_1..pi*_N, one datum at a time in a plain loop.
+
+    tau_1 = 0; for n >= 2, tau_n = sqrt(p / m_n + 1) * q_inv((1 - pi*_n)/2),
+    with m_n = sum_{i<n} (1 - pi*_i) the expected kept count so far.
+    q_inv is the Gaussian upper-tail quantile: bisect_q_inv for an
+    independent value, or the package's own for a bitwise comparison.
+    """
+    taus, kept_mass = [], 0.0
+    for n, pi_n in enumerate(pis, start=1):
+        if n == 1:
+            taus.append(0.0)
+        else:
+            taus.append(math.sqrt(p / kept_mass + 1.0) * float(q_inv(0.5 * (1.0 - pi_n))))
+        kept_mass += 1.0 - pi_n
+    return taus
 
 
 def hadamard_matrix(n):

@@ -28,7 +28,7 @@ from cendre.estimators import (
     regret,
 )
 from cendre.harness import ExperimentConfig, monte_carlo
-from cendre.likelihood import CensoredTerm, evaluate, info_scalar, loss, score_scalar
+from cendre.likelihood import CensoredTerm, evaluate, loss
 from cendre.numkit import derive, gauss_q, gauss_q_inv, substream
 
 from oracles import central_diff_grad, central_diff_scalar
@@ -286,7 +286,7 @@ def test_a07_score_and_curvature_match_finite_differences():
         # along u with x'u = 1 differentiates it: d(beta)/ds = -h.
         u = x / float(x @ x)
         slope = central_diff_scalar(
-            lambda t: score_scalar(term, theta + t * u), 0.0)
+            lambda t: evaluate(term, theta + t * u).beta, 0.0)
         assert abs(slope + si.info) <= 1e-5 * si.info + 5e-9, (
             f"curvature mismatch fd={slope:.6e} h={si.info:.6e}")
 
@@ -339,7 +339,7 @@ def test_a08_rank_one_inverse_updates_track_dense_inversion():
         term = CensoredTerm(not decision.kept,
                             y if decision.kept else float(x @ prelim.theta),
                             x, tau, sigma)
-        h = info_scalar(term, est2.theta)
+        h = evaluate(term, est2.theta).info
         est2.step(decision, x, tau)
         M2 += h * np.outer(x, x)
         dense = np.linalg.inv(M2)
@@ -487,7 +487,7 @@ def test_a11_constant_gain_regret_respects_theoretical_ceiling():
 
         theta_star = _batch_censored_minimizer(terms, prelim.theta)
         dist = float(np.linalg.norm(theta_star - prelim.theta))
-        beta_bar = 1.5 * max(abs(score_scalar(t, prelim.theta)) for t in terms)
+        beta_bar = 1.5 * max(abs(evaluate(t, prelim.theta).beta) for t in terms)
 
         for _ in range(4):
             mu = dist / (math.sqrt(2.0 * D) * beta_bar * x_bar)
@@ -496,7 +496,7 @@ def test_a11_constant_gain_regret_respects_theoretical_ceiling():
             realized = 0.0
             for term in terms:
                 traj.append(est.theta.copy())
-                realized = max(realized, abs(score_scalar(term, est.theta)))
+                realized = max(realized, abs(evaluate(term, est.theta).beta))
                 kept = not term.censored
                 est.step(CensorDecision(kept, term.y_or_anchor if kept else None),
                          term.x, tau)

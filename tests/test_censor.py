@@ -6,6 +6,7 @@ compare realized censoring frequencies against targets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,7 @@ from hypothesis import given, strategies as st
 from cendre.censor import (
     CensorDecision,
     ThresholdPlan,
-    ac_decide,
     ac_threshold_offline,
-    ac_threshold_online,
-    ac_threshold_schedule,
     censor_prob_clt,
     censor_prob_exact,
     nac_decide,
@@ -26,7 +24,9 @@ from cendre.censor import (
     robust_decide,
 )
 from cendre.errors import ConfigError, DomainError
-from cendre.numkit import gauss_q, substream
+from cendre.numkit import gauss_q, gauss_q_inv, substream
+
+import oracles
 
 Q_INV_QUARTER = 0.6744897501960817  # Q^-1(0.25), bisection oracle
 Q_INV_005 = 1.6448536269514727      # Q^-1(0.05)
@@ -55,9 +55,11 @@ def test_nac_value_only_when_kept():
 
 
 def test_ac_uses_current_estimate():
-    d = ac_decide(1.0, [1.0, 1.0], [0.2, 0.3], 1.0, 0.4)
+    # The adaptive rule is the NAC rule against the latest estimate's x'theta.
+    x, theta = np.array([1.0, 1.0]), np.array([0.2, 0.3])
+    d = nac_decide(1.0, float(x @ theta), 1.0, 0.4)
     assert d.kept and d.value == 1.0
-    assert not ac_decide(0.6, [1.0, 1.0], [0.2, 0.3], 1.0, 0.4).kept
+    assert not nac_decide(0.6, float(x @ theta), 1.0, 0.4).kept
 
 
 def test_robust_three_branches():
@@ -199,19 +201,24 @@ def test_clt_calibration_model():
 # adaptive-censoring thresholds
 # ---------------------------------------------------------------------
 
+def online_threshold(x, C, n, pi_star):
+    """tau_n of an ac-online plan, given x and the n-scaled step matrix C."""
+    return ThresholdPlan.ac_online(pi_star).threshold(n, quadratic_form=x @ C @ x / n)
+
+
 def test_online_threshold_example():
-    got = ac_threshold_online(np.eye(3)[0], np.eye(3), 4, 0.5)
+    got = online_threshold(np.eye(3)[0], np.eye(3), 4, 0.5)
     assert got == pytest.approx(0.7541024657826454, rel=1e-12)
 
 
 def test_online_threshold_zero_target():
-    assert ac_threshold_online(np.ones(2), np.eye(2), 1, 0.0) == 0.0
+    assert online_threshold(np.ones(2), np.eye(2), 1, 0.0) == 0.0
 
 
 def test_online_threshold_limit():
     # Bounded x'Cx and growing n: the prefactor decays to 1.
     x, C = np.ones(2), np.eye(2)
-    got = ac_threshold_online(x, C, 10_000_000, 0.5)
+    got = online_threshold(x, C, 10_000_000, 0.5)
     assert got == pytest.approx(Q_INV_QUARTER, rel=1e-6)
 
 
@@ -237,21 +244,21 @@ def test_offline_threshold_decreasing_in_n():
 
 def test_schedule_reduces_to_offline():
     p, pi = 12, 0.45
-    sched = ac_threshold_schedule(p, [pi] * 30)
+    sched = ThresholdPlan.ac_offline(p, [pi] * 30).thresholds(1, 31)
     assert sched[0] == 0.0
     for n in range(2, 31):
         assert sched[n - 1] == pytest.approx(ac_threshold_offline(p, n, pi), rel=1e-12)
 
 
 def test_schedule_examples():
-    assert ac_threshold_schedule(4, [0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-    sched = ac_threshold_schedule(10, [0.5, 0.9])
+    assert list(ThresholdPlan.ac_offline(4, [0.0, 0.0, 0.0]).thresholds(1, 4)) == [0.0, 0.0, 0.0]
+    sched = ThresholdPlan.ac_offline(10, [0.5, 0.9]).thresholds(1, 3)
     assert sched[1] == pytest.approx(7.537666252627779, rel=1e-12)
 
 
 def test_schedule_rejects_full_censoring_prefix():
-    with pytest.raises(DomainError):
-        ac_threshold_schedule(10, [1.0, 0.5])
+    with pytest.raises(ConfigError):
+        ThresholdPlan.ac_offline(10, [1.0, 0.5])
 
 
 def test_monotone_in_target():
@@ -259,7 +266,7 @@ def test_monotone_in_target():
     x, ginv, C = np.ones(3), 0.2 * np.eye(3), np.eye(3)
     for f in (lambda s: nac_threshold_exact(x, ginv, s),
               lambda s: nac_threshold_clt(5, 50, s),
-              lambda s: ac_threshold_online(x, C, 7, s),
+              lambda s: online_threshold(x, C, 7, s),
               lambda s: ac_threshold_offline(5, 9, s)):
         vals = [f(s) for s in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -273,12 +280,12 @@ def test_plan_constant():
     plan = ThresholdPlan.constant(1.25)
     assert plan.threshold(1) == 1.25
     assert plan.threshold(10**6, x=np.ones(3)) == 1.25
-    assert not plan.is_nac and not plan.is_ac
+    assert not plan.needs_quadratic_form
 
 
 def test_plan_nac_exact_needs_x():
     plan = ThresholdPlan.nac_exact(np.eye(2), 0.5)
-    assert plan.is_nac and not plan.needs_quadratic_form
+    assert not plan.needs_quadratic_form
     got = plan.threshold(3, x=np.zeros(2))
     assert got == pytest.approx(Q_INV_QUARTER, rel=1e-12)
     with pytest.raises(ConfigError):
@@ -293,7 +300,7 @@ def test_plan_nac_clt_constant_over_stream():
 
 def test_plan_ac_online_needs_quadratic_form():
     plan = ThresholdPlan.ac_online(0.5)
-    assert plan.is_ac and plan.needs_quadratic_form
+    assert plan.needs_quadratic_form
     got = plan.threshold(4, quadratic_form=0.25)
     assert got == pytest.approx(0.7541024657826454, rel=1e-12)
     with pytest.raises(ConfigError):
@@ -310,20 +317,20 @@ def test_plan_ac_offline_first_step_zero():
 def test_plan_ac_offline_schedule_tuple():
     pis = (0.5, 0.9, 0.7)
     plan = ThresholdPlan.ac_offline(10, pis)
-    want = ac_threshold_schedule(10, list(pis))
+    want = oracles.ac_offline_schedule(10, pis, oracles.bisect_q_inv)
     for n in (1, 2, 3):
         assert plan.threshold(n) == pytest.approx(want[n - 1], rel=1e-12)
-    assert plan.pi_at(2) == 0.9
+    assert plan.target_pi == pis
 
 
 def test_plan_vector_path_matches_schedule_function():
     # A per-datum plan sums its expected kept mass once; every window of
-    # its vector path, and threshold() and schedule() through it, equal
-    # the free schedule function bit for bit.
+    # its vector path, and threshold() through it, equal the plain-loop
+    # oracle (with the package's quantile) bit for bit.
     pis = [float(v) for v in substream(3).uniform(0.0, 0.95, 2000)]
-    want = np.array(ac_threshold_schedule(7, pis))
+    want = np.array(oracles.ac_offline_schedule(7, pis, gauss_q_inv))
     plan = ThresholdPlan.ac_offline(7, pis)
-    np.testing.assert_array_equal(plan.schedule(2000), want)
+    np.testing.assert_array_equal(plan.thresholds(1, 2001), want)
     np.testing.assert_array_equal(plan.thresholds(500, 1500), want[499:1499])
     assert [plan.threshold(n) for n in (1, 2, 1999, 2000)] == list(want[[0, 1, 1998, 1999]])
     with pytest.raises(IndexError):
@@ -333,15 +340,31 @@ def test_plan_vector_path_matches_schedule_function():
                                   [0.0] + [ac_threshold_offline(7, n, 0.8) for n in range(2, 50)])
 
 
+def test_scalar_threshold_memory_stays_flat():
+    # Step-by-step threshold() reads blocks of 1,024 steps; holding every
+    # block read grows 8 bytes per step (over 800 KB here), holding the
+    # current one stays within a few blocks' worth of temporaries.
+    plan = ThresholdPlan.ac_offline(30, 0.75)
+    plan.threshold(1)
+    tracemalloc.start()
+    try:
+        for n in range(1, 100_001):
+            plan.threshold(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * 1024
+
+
 def test_plan_schedule_materialization():
     plan = ThresholdPlan.ac_offline(10, 0.6)
-    sched = plan.schedule(50)
+    sched = plan.thresholds(1, 51)
     assert sched.shape == (50,)
     assert sched[0] == 0.0
     for kind_plan in (ThresholdPlan.nac_exact(np.eye(2), 0.5),
                       ThresholdPlan.ac_online(0.5)):
         with pytest.raises(ConfigError):
-            kind_plan.schedule(10)
+            kind_plan.thresholds(1, 11)
 
 
 def test_offline_plan_calibration():

@@ -13,16 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from cendre.errors import DomainError, UsageError
-from cendre.likelihood import (
-    CensoredTerm,
-    ScoreInfo,
-    evaluate,
-    info_scalar,
-    interval_bounds,
-    loss,
-    score_scalar,
-)
+from cendre.errors import DomainError
+from cendre.likelihood import CensoredTerm, ScoreInfo, evaluate, loss, score_info
+from cendre.numkit import interval_log_prob
 
 import oracles
 
@@ -47,15 +40,18 @@ def test_term_validation():
         CensoredTerm(True, 1.0, np.ones(2), -0.5, 1.0)
 
 
+# The censored loss is -log P(z_l < Z < z_u) over the standardized
+# interval (z_l, z_u) = (-tau - shift, tau - shift), shift = (x'theta - anchor)/sigma.
+
 def test_bounds_centered():
     term = CensoredTerm(True, 0.0, np.array([1.0, -1.0]), 2.0, 1.0)
-    assert interval_bounds(term, np.zeros(2)) == (-2.0, 2.0)
+    assert loss(term, np.zeros(2)) == -interval_log_prob(-2.0, 2.0)
 
 
 def test_bounds_shifted():
     term = CensoredTerm(True, 0.0, np.array([1.0]), 1.0, 1.0)
-    z_l, z_u = interval_bounds(term, np.array([0.5]))
-    assert (z_l, z_u) == pytest.approx((-1.5, 0.5), abs=1e-15)
+    assert loss(term, np.array([0.5])) == pytest.approx(-interval_log_prob(-1.5, 0.5),
+                                                        abs=1e-15)
 
 
 def test_bounds_width_is_two_tau():
@@ -64,14 +60,10 @@ def test_bounds_width_is_two_tau():
         p = rng.integers(1, 6)
         term = CensoredTerm(True, rng.normal(), rng.standard_normal(p),
                             float(rng.uniform(0, 3)), float(rng.uniform(0.1, 4)))
-        z_l, z_u = interval_bounds(term, rng.standard_normal(p))
-        assert z_u - z_l == pytest.approx(2 * term.tau, rel=1e-12)
-
-
-def test_bounds_rejects_uncensored():
-    term = CensoredTerm(False, 1.0, np.ones(2), 1.0, 1.0)
-    with pytest.raises(UsageError):
-        interval_bounds(term, np.zeros(2))
+        theta = rng.standard_normal(p)
+        z_l = -term.tau - (term.x @ theta - term.y_or_anchor) / term.sigma
+        want = -interval_log_prob(z_l, z_l + 2 * term.tau)
+        assert loss(term, theta) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -119,27 +111,27 @@ def test_loss_censored_matches_quadrature():
 
 def test_score_uncensored():
     term = CensoredTerm(False, 2.0, np.array([1.0]), 1.0, 1.0)
-    assert score_scalar(term, np.array([0.5])) == pytest.approx(1.5, rel=1e-15)
+    assert evaluate(term, np.array([0.5])).beta == pytest.approx(1.5, rel=1e-15)
 
 
 def test_score_centered_zero():
     term, theta = censored_term(-1.7, 1.7)
-    assert score_scalar(term, theta) == pytest.approx(0.0, abs=1e-15)
+    assert evaluate(term, theta).beta == pytest.approx(0.0, abs=1e-15)
 
 
 def test_score_pinned():
     # (phi(-1.5) - phi(0.5)) / (Q(-1.5) - Q(0.5)) = -0.35627288417705976
     term, theta = censored_term(-1.5, 0.5)
-    assert score_scalar(term, theta) == pytest.approx(-0.3562728841770598, rel=1e-12)
+    assert evaluate(term, theta).beta == pytest.approx(-0.3562728841770598, rel=1e-12)
 
 
 def test_score_pulls_toward_interval():
     # The prediction sits above the anchor (interval pushed left), so the
     # descent direction must push x'theta back down: beta < 0 for x > 0.
     term, theta = censored_term(-2.5, -0.5)
-    assert score_scalar(term, theta) < 0.0
+    assert evaluate(term, theta).beta < 0.0
     term, theta = censored_term(0.5, 2.5)
-    assert score_scalar(term, theta) > 0.0
+    assert evaluate(term, theta).beta > 0.0
 
 
 def test_score_odd_under_reflection():
@@ -149,7 +141,7 @@ def test_score_odd_under_reflection():
         z_u = z_l + rng.uniform(0.01, 3)
         t1, th1 = censored_term(z_l, z_u)
         t2, th2 = censored_term(-z_u, -z_l)
-        assert score_scalar(t1, th1) == pytest.approx(-score_scalar(t2, th2),
+        assert evaluate(t1, th1).beta == pytest.approx(-evaluate(t2, th2).beta,
                                                       rel=1e-12, abs=1e-15)
 
 
@@ -159,13 +151,13 @@ def test_score_odd_under_reflection():
 
 def test_info_uncensored():
     term = CensoredTerm(False, 0.0, np.ones(1), 1.0, 2.0)
-    assert info_scalar(term, np.zeros(1)) == 0.25
+    assert evaluate(term, np.zeros(1)).info == 0.25
 
 
 def test_info_pinned():
     # ratio^2 + curvature = 0.12693037 + 0.59282148 = 0.7197518498487749
     term, theta = censored_term(-1.5, 0.5)
-    assert info_scalar(term, theta) == pytest.approx(0.7197518498487749, rel=1e-12)
+    assert evaluate(term, theta).info == pytest.approx(0.7197518498487749, rel=1e-12)
 
 
 def test_info_range_sweep():
@@ -177,7 +169,7 @@ def test_info_range_sweep():
         z_u = z_l + rng.uniform(1e-3, 6)
         sigma = float(rng.uniform(0.2, 3))
         term, theta = censored_term(z_l, z_u, sigma)
-        h = info_scalar(term, theta)
+        h = evaluate(term, theta).info
         assert 0.0 < h <= 1.0 / sigma**2 + 1e-12
 
 
@@ -194,7 +186,7 @@ def test_info_truncated_variance_identity():
         second, _ = integrate.quad(lambda t: t * t * oracles.pdf(t) / P, z_l, z_u)
         var_trunc = second - mean**2
         want = (1.0 - var_trunc) / sigma**2
-        assert info_scalar(term, theta) == pytest.approx(want, rel=1e-7)
+        assert evaluate(term, theta).info == pytest.approx(want, rel=1e-7)
 
 
 def test_info_even_under_reflection():
@@ -204,7 +196,7 @@ def test_info_even_under_reflection():
         z_u = z_l + rng.uniform(0.01, 3)
         t1, th1 = censored_term(z_l, z_u)
         t2, th2 = censored_term(-z_u, -z_l)
-        assert info_scalar(t1, th1) == pytest.approx(info_scalar(t2, th2), rel=1e-12)
+        assert evaluate(t1, th1).info == pytest.approx(evaluate(t2, th2).info, rel=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -222,7 +214,7 @@ def test_gradient_matches_finite_differences():
         tau = float(rng.uniform(0.1, 2.0)) if censored else float(rng.uniform(0, 2))
         term = CensoredTerm(censored, float(rng.normal()), x, tau, sigma)
         grad = oracles.central_diff_grad(lambda th: loss(term, th), theta)
-        want = -score_scalar(term, theta) * x
+        want = -evaluate(term, theta).beta * x
         np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-8)
 
 
@@ -238,11 +230,11 @@ def test_hessian_matches_finite_differences():
         censored = bool(rng.integers(0, 2))
         tau = float(rng.uniform(0.1, 2.0)) if censored else 0.5
         term = CensoredTerm(censored, float(rng.normal()), x, tau, sigma)
-        h_info = info_scalar(term, theta)
+        h_info = evaluate(term, theta).info
         for i in range(p):
             e = np.zeros(p)
             e[i] = 1e-5
-            fd = (score_scalar(term, theta + e) - score_scalar(term, theta - e)) / 2e-5
+            fd = (evaluate(term, theta + e).beta - evaluate(term, theta - e).beta) / 2e-5
             assert fd == pytest.approx(-h_info * x[i], rel=1e-5, abs=1e-7)
 
 
@@ -257,9 +249,35 @@ def test_evaluate_consistent_with_parts():
                             float(rng.uniform(0.1, 2)), float(rng.uniform(0.3, 2)))
         si = evaluate(term, theta)
         assert isinstance(si, ScoreInfo)
+        beta, info = score_info(np.array([censored]), np.array([term.y_or_anchor]),
+                                x @ theta, term.tau, term.sigma)
         assert si.loss == pytest.approx(loss(term, theta), rel=1e-14)
-        assert si.beta == pytest.approx(score_scalar(term, theta), rel=1e-14)
-        assert si.info == pytest.approx(info_scalar(term, theta), rel=1e-14)
+        assert si.beta == pytest.approx(beta[0], rel=1e-14)
+        assert si.info == pytest.approx(info[0], rel=1e-14)
+
+
+def test_evaluate_is_loss_and_one_element_score_info():
+    # One formula each: evaluate's loss is loss() and its beta and h are a
+    # one-element score_info, bit for bit, for uncensored, central
+    # censored and tail censored (|shift| - tau > 6) terms.
+    rng = np.random.default_rng(113)
+    for kind in ("uncensored", "censored", "tail"):
+        for _ in range(300):
+            p = int(rng.integers(1, 5))
+            x = rng.standard_normal(p)
+            theta = rng.standard_normal(p)
+            sigma = float(rng.uniform(0.3, 2.0))
+            tau = float(rng.uniform(0.05, 2.0))
+            anchor = float(rng.normal())
+            if kind == "tail":
+                # Place the prediction 6-30 sigma beyond the interval edge.
+                shift = (tau + rng.uniform(6.0, 30.0)) * rng.choice((-1.0, 1.0))
+                anchor = float(x @ theta) - shift * sigma
+            term = CensoredTerm(kind != "uncensored", anchor, x, tau, sigma)
+            si = evaluate(term, theta)
+            beta, info = score_info([term.censored], [anchor], [float(x @ theta)], tau, sigma)
+            assert si.loss == loss(term, theta)
+            assert si.beta == beta[0] and si.info == info[0]
 
 
 # ---------------------------------------------------------------------
@@ -270,16 +288,16 @@ def test_tail_pinned_values():
     # 40-digit oracle at (20, 21): beta = 20.049753067339751,
     # h = 0.99753673956998917.
     term, theta = censored_term(20.0, 21.0)
-    assert score_scalar(term, theta) == pytest.approx(20.049753067339751, rel=1e-10)
-    assert info_scalar(term, theta) == pytest.approx(0.9975367395699892, rel=1e-10)
+    assert evaluate(term, theta).beta == pytest.approx(20.049753067339751, rel=1e-10)
+    assert evaluate(term, theta).info == pytest.approx(0.9975367395699892, rel=1e-10)
 
 
 def test_tail_finite_out_to_35_sigma():
     for z in (8.0, 15.0, 25.0, 35.0, -35.0):
         z_l, z_u = (z, z + 1.0) if z > 0 else (z - 1.0, z)
         term, theta = censored_term(z_l, z_u)
-        beta = score_scalar(term, theta)
-        h = info_scalar(term, theta)
+        beta = evaluate(term, theta).beta
+        h = evaluate(term, theta).info
         assert math.isfinite(beta) and math.isfinite(h)
         assert 0.0 < h <= 1.0
 
@@ -289,7 +307,7 @@ def test_tail_approaches_clipping_limit():
     # the near edge, which itself approaches z_near.
     for z in (10.0, 20.0, 30.0):
         term, theta = censored_term(z, z + 0.5)
-        beta = score_scalar(term, theta)
+        beta = evaluate(term, theta).beta
         assert z < beta < z + 0.6
 
 
