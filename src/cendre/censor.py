@@ -71,8 +71,8 @@ def _check_rule_args(sigma: float, tau: float, *values: float) -> None:
 def nac_decide(y: float, y_hat: float, sigma: float, tau: float) -> CensorDecision:
     """Censor y against a fixed prediction y_hat; keep iff |y - y_hat| >= tau*sigma."""
     _check_rule_args(sigma, tau, y, y_hat)
-    kept = abs(y - y_hat) >= tau * sigma
-    return CensorDecision(kept, y if kept else None)
+    kept = bool(abs(y - y_hat) >= tau * sigma)
+    return CensorDecision(kept, float(y) if kept else None)
 
 
 def robust_decide(e: float, sigma: float, tau: float, tau_o: float) -> CensorDecision:

@@ -22,6 +22,12 @@ score beta and curvature h drive the update: ``FirstOrderCensoredMLE``
 walks the stochastic gradient, and ``SecondOrderCensoredMLE`` scales it
 by the inverse of the accumulated per-datum information.
 
+The gate, the clip, both recursions and the multiply ledger are written
+once, in ``_Lockstep``: the R replicates of one streaming method advanced
+as one state, which ``cendre.harness`` drives panel by panel.  Each
+estimator class holds a one-replicate ``_Lockstep`` and sends each datum
+through its per-datum code.
+
 Second-order recursions never re-invert.  They carry the unnormalized
 inverse P_n = (P_0^{-1} + sum_i h_i x_i x_i')^{-1}, updated by one
 Sherman-Morrison correction per contributing datum; the conventionally
@@ -36,7 +42,7 @@ and only the multiplies are counted).  Data-independent products such
 as tau*sigma or a constant step size are configuration: a streaming
 implementation computes them once, so they are not charged per step.
 The per-step costs are exact and asserted in the test suite; see each
-class docstring.
+class docstring and ``_multiplies``.
 
 ``snapshot()`` writes an estimator's state as one JSON document: its
 ``kind``, its scalar attributes as they are, its step-size policy as
@@ -51,10 +57,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .censor import CensorDecision, ThresholdPlan, robust_decide
 from .errors import ConfigError, DomainError, SingularityError, UsageError
-from .likelihood import CensoredTerm, evaluate, loss
+from .likelihood import CensoredTerm, evaluate, loss, score_info
 from .numkit.linalg import cholesky_solve
 from .numkit.rng import substream
 
@@ -170,82 +177,434 @@ def default_ridge(x, plan: ThresholdPlan | None, tau_out: float | None):
 # ---------------------------------------------------------------------
 
 
-class _Gate:
-    """State, censoring gate and snapshot shared by LMS and RLS.
+def _multiplies(method: str, p: int, online: bool = False):
+    """The exact multiply ledger of a streaming method: (per step, per kept
+    datum, per clipped datum), the cost of n steps that keep `kept` data,
+    `clipped` of them as outliers, being the dot product with (n, kept,
+    clipped); `online` when an ac-online plan reads x'Px every step, which
+    a kept step then reuses.  The per-step costs are in the docstrings of
+    LMS, RLS and the two censored-MLE classes."""
+    if method == "samle1":
+        return 3 * p + 1, -p, 0
+    if method == "samle2":
+        return 2 * p * p + 4 * p + 2, -p, 0
+    if method == "lms":
+        return 2 * p + 1, 0, 0
+    if method == "rls":
+        return 2 * p * p + 4 * p, 0, 0
+    if method in ("ac-lms", "rac-lms"):
+        return p, p + 1, 0
+    # ac-rls, rac-rls
+    nominal = 2 * p * p + 3 * p - online * p * (p + 1)
+    return p + online * p * (p + 1), nominal, p + (not online) * p * p - nominal
 
-    A subclass supplies the recursion: ``_kept`` updates on a datum the
-    gate keeps and charges its multiplies, and ``_ready`` sets up state
-    that waits for the first datum.
+
+class _Lockstep:
+    """The R replicates of one streaming method, advanced as one state.
+
+    theta is (R, p) and the step matrix P (U for samle2) is (R, p, p).
+    The gate (none, the NAC interval term, the AC skip, the robust clip)
+    sets a score beta and a weight h per replicate; the recursion is
+    theta += mu_n beta x, or P <- (P^-1 + h x x')^-1 and theta += beta P x.
+    samle2 and rls update every P in one batch, gated RLS and a lone
+    replicate each stepping P[r] in place by BLAS.  Each product and each
+    rank-one entry is computed the same way for one row as for many, so a
+    replicate's trace does not depend on its company.
+
+    A panel advances in one of three ways.  Every replicate on every
+    datum: NAC decisions (``nac_panel``), and lms and rls, which keep
+    every datum, with R > 1.  Desynchronized rounds: on the gated AC path
+    each replicate jumps to its own next kept datum (``ac_panel``).  One
+    lone replicate: with R = 1, or once the others reach the panel's end,
+    ``_lone`` runs the same rounds on slices of one row.  Marks record the
+    error, kept and clipped counts, and multiply ledgers are exact.
+
+    An estimator class holds one replicate, with no marks, and steps it a
+    datum at a time through the same gate, clip and update; without marks
+    a breakdown's message leaves out the method and step.
     """
 
+    def __init__(self, method: str, R: int, p: int, sigma, theta=None, P=None, mu=None,
+                 plan=None, tau_out=None, epsilon=None, marks=(), theta_o=None):
+        self.method, self.sigma, self.theta_o, self.marks = method, sigma, theta_o, marks
+        self.theta = np.zeros((R, p)) if theta is None else np.array(theta, dtype=np.float64)
+        self.theta_rows = list(self.theta)  # row views, updated in place
+        self.P = None
+        if P is not None:
+            self._take_P(P)
+        self.mu, self.plan, self.tau_out, self.epsilon = mu, plan, tau_out, epsilon
+        self.online = plan is not None and plan.needs_quadratic_form
+        self.gated = method not in ("lms", "rls")
+        self.kept = np.zeros(R, dtype=np.int64)
+        self.clipped = np.zeros(R, dtype=np.int64)
+        self.n = self.rounds = self._kept_sum = 0  # steps before the panel; kept by all
+        # Marks and a step none reaches; each replicate's next; (mse, kept, clipped) at each.
+        self._mark_n = np.array([*marks, np.iinfo(np.int64).max], dtype=np.int64)
+        self._mark_i = np.zeros(R, dtype=np.int64)
+        self._soonest = int(self._mark_n[0])
+        self._at = np.zeros((3, len(marks), R))
+
+    def _take_P(self, P) -> None:
+        """Hold a copy of P (R, p, p) in C order: each P[r].T is then a
+        Fortran-order view, which BLAS updates in place."""
+        self.P = np.array(P, dtype=np.float64, order="C")
+        self.P_fortran = list(self.P.transpose(0, 2, 1))
+
+    # -- the recursion ----------------------------------------------------
+
+    def update(self, rows, x, beta, h, n, Px=None) -> None:
+        """One recursion step of replicates `rows` (all when None), row i on
+        datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
+        clipped outlier, leaves P alone).  rows may also be one replicate's
+        index, with x of shape (p,), beta, h and n numbers, and Px its
+        ``_quadratic`` if known.  No other replicate is written."""
+        theta, P = self.theta, self.P
+        if isinstance(rows, int):  # one replicate, on 1-row arrays and numbers
+            if self.mu is not None:
+                self.theta_rows[rows] += (self.mu.at(n) * beta) * x
+                return
+            v, s = self._quadratic(rows, x, h is None or h) if Px is None else Px
+            k = v[0]  # the updated P times x; P x itself when h = 0
+            if h is None or h:
+                denom = 1.0 + (s if h is None else h * s)
+                if abs(denom) < _SINGULAR_TOL:
+                    raise self._breakdown(n)
+                k = k * (1.0 / denom)
+                dgemm(-1.0, v[0, :, None], (k if h is None else k * h)[None], 1.0,
+                      self.P_fortran[rows], overwrite_c=1)
+            self.theta_rows[rows] += beta * k
+            return
+        every = rows is None or rows.size == theta.shape[0]
+        if self.mu is not None:
+            d = (self.mu.at(n) * beta)[:, None] * x
+        else:
+            if every:
+                v = np.matmul(P, x[:, :, None])[:, :, 0]
+            else:  # P x of every row, the others against x = 0, and keep ours
+                xr = np.zeros_like(theta)
+                xr[rows] = x
+                v = np.matmul(P, xr[:, :, None])[rows, :, 0]
+            s = np.einsum("rp,rp->r", x, v)
+            denom = 1.0 + (s if h is None else h * s)
+            bad = np.abs(denom) < _SINGULAR_TOL
+            if bad.any():
+                raise self._breakdown(np.broadcast_to(n, bad.shape)[bad].min())
+            k = v * (1.0 / denom)[:, None]  # the updated P times x
+            d = beta[:, None] * k
+        if every:
+            theta += d
+        else:
+            theta[rows] += d
+        if self.mu is not None:
+            return
+        if rows is None:
+            P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
+            return
+        for i, r in enumerate(rows.tolist()):
+            if h is None or h[i]:
+                # P[r] -= k v' as a gemm of inner dimension 1: OpenBLAS keeps it
+                # on one thread, where dger woke two at p = 200, twice as slow.
+                dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
+
+    def _quadratic(self, r, x, both=True):
+        """(P x as a (1, p) row, x'Px or None unless `both`) of replicate r
+        at x (p,), as its one-replicate update computes them."""
+        v = np.matmul(self.P[r:r + 1], x[None, :, None])[:, :, 0]
+        return v, float(np.einsum("rp,rp->r", x[None], v)[0]) if both else None
+
+    def _breakdown(self, step) -> SingularityError:
+        what = f"{'information ' * (self.method == 'samle2')}update denominator vanished"
+        if not self.marks:  # a single-stream estimator reports the bare cause
+            return SingularityError(what)
+        return SingularityError(f"{self.method} broke down at step {step}: {what}")
+
+    def _record(self, rows, upto) -> None:
+        """Record every mark of replicate rows[i] up to its step upto[i]
+        (or upto for all) from the current theta."""
+        while True:
+            at = self._mark_i[rows]
+            due = self._mark_n[at] <= upto
+            if not due.any():
+                break
+            rows, at, upto = rows[due], at[due], np.broadcast_to(upto, due.shape)[due]
+            err = self.theta[rows] - self.theta_o
+            self._at[:, at, rows] = (np.einsum("rp,rp->r", err, err), self.kept[rows],
+                                     self.clipped[rows])
+            self._mark_i[rows] = at + 1
+        self._soonest = int(self._mark_n[self._mark_i].min())
+
+    # -- the gates ----------------------------------------------------------
+
+    def nac_panel(self, Y, y_hat, tau, X) -> None:
+        """Step every replicate through a panel censored against fixed
+        predictions y_hat (m, R) with thresholds tau: a kept datum is its
+        y, a censored one the interval around its y_hat."""
+        sigma = self.sigma
+        keep = self._hits(Y - y_hat, tau * sigma)[0]
+        censored, value = ~keep, np.where(keep, Y, y_hat)
+        for i in range(len(X)):
+            x = X[i]
+            beta, h = score_info(censored[i], value[i], np.einsum("rp,rp->r", x, self.theta),
+                                 tau[i], sigma)
+            self.n += 1
+            self.update(None, x, beta, h, self.n)
+            self.kept += keep[i]
+            if self.n >= self._soonest:
+                self._record(np.arange(len(x)), self.n)
+
+    def ac_panel(self, Y, X) -> None:
+        """Step each replicate through a panel to its own kept data, in rounds."""
+        m, R = Y.shape
+        if self.P is None and self.mu is None:
+            eps = self.epsilon
+            eps = default_ridge(X[0], self.plan, self.tau_out) if eps is None else eps
+            self._take_P(np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None])
+        panel_tau = None
+        if self.plan is not None and not self.online:  # tau depends on n alone
+            panel_tau = self._under_clip(self.plan.thresholds(self.n + 1, self.n + 1 + m))
+        ahead = np.arange(m)[:, None]
+        act, a, front = np.arange(R), np.zeros(R, dtype=np.int64), 0  # active, positions, lead
+        while act.size > 1:
+            if self.gated:
+                B = self._window(self.n + front, R)
+                n, rs = self.n + a, act if act.size < R else slice(None)
+                lim = B if front + B <= m else np.minimum(m - a, B)
+                at = np.minimum(a + ahead[:B], m - 1)
+                Xw, Yw = X[at, act], Y[at, act]
+            else:  # every replicate keeps every datum: one shared position
+                n, rs, B = self.n + front, slice(None), 1
+                Xw, Yw = X[front:front + 1], Y[front:front + 1]
+            E = Yw - np.einsum("brp,rp->br", Xw, self.theta[rs])
+            watch = self._soonest <= self.n + front + B  # a mark may fall in this round
+            if self.gated:
+                tau = self._online_tau(Xw, rs, n) if self.online else panel_tau[at]
+                hit, bad = self._hits(E, tau * self.sigma)
+                if lim is not B:
+                    hit &= ahead[:B] < lim
+                got = hit.any(axis=0)
+                j = np.where(got, hit.argmax(axis=0), lim)
+                if watch:  # marks inside a jump see the theta before its step
+                    self._record(act, n + j)
+                cols = got.nonzero()[0]
+                k, rows = (j[cols], cols), act[cols]
+                a += j + got
+                step, front = self.n + a[cols], int(a.max())
+            else:
+                k, rows, step = 0, None, n + 1
+                front += 1
+            if rows is None or rows.size:
+                beta, x, h = E[k], Xw[k], None
+                if self.tau_out is not None:
+                    beta, h = self._clip(rows, beta, tau[k], bad)
+                self.kept[rs if rows is None else rows] += 1
+                self._kept_sum += beta.size
+                self.rounds += 1
+                self.update(rows, x, beta, h, step)
+                if watch:
+                    self._record(act if rows is None else rows, step)
+            if front >= m:  # drop the replicates at the panel's end
+                act, a = (act[a < m], a[a < m]) if self.gated else (act[:0], a)
+                front = int(a.max()) if act.size else 0
+        if act.size:
+            self._lone(int(act[0]), front, Y, X, panel_tau)
+        self.n += m
+
+    def _lone(self, r, a, Y, X, panel_tau) -> None:
+        """The rounds of ac_panel for one active replicate r, from its
+        position a to the panel's end: each window a slice, and every value
+        of the replicate's own a number."""
+        m, R = Y.shape
+        rs, act, sigma = slice(r, r + 1), np.array([r]), self.sigma
+        cut = None if panel_tau is None else panel_tau * sigma
+        while a < m:
+            n = self.n + a
+            B = min(self._window(n, R), m - a) if self.gated else 1
+            Xw = X[a:a + B, rs]
+            E = (Y[a:a + B, rs] - np.einsum("brp,rp->br", Xw, self.theta[rs]))[:, 0]
+            watch = self._soonest <= n + B  # a mark may fall in this round
+            j, got, bad = 0, True, False
+            if self.gated:
+                if self.online:
+                    tau = self._online_tau(Xw, rs, n)[:, 0]
+                    hit, bad = self._hits(E, tau * sigma)
+                else:
+                    tau = panel_tau[a:a + B]
+                    hit, bad = self._hits(E, cut[a:a + B])
+                j = int(hit.argmax())
+                got = bool(hit[j])
+                j = j if got else B
+                if watch:  # marks inside a jump see the theta before its step
+                    self._record(act, n + j)
+            a += j + got
+            if not got:
+                continue
+            e, h = E[j], None
+            if self.tau_out is not None:
+                e, h = self._clip(r, e, tau[j], bad)
+            self.kept[r] += 1
+            self._kept_sum += 1
+            self.rounds += 1
+            self.update(r, Xw[j, 0], e, h, n + j + 1)
+            if watch:
+                self._record(act, n + j + 1)
+
+    def _window(self, lead: int, R: int) -> int:
+        """Data a round scans: twice the realized mean gap between kept data,
+        the lead's steps over the mean kept count."""
+        return max(1, (2 * lead + 1) * R // (self._kept_sum + R))
+
+    def _hits(self, E, cut):
+        """(where |E| >= cut, bad) for innovations E, an array or one number:
+        bad when, with tau_out, E holds a value that is not finite, which is
+        then a hit too, for the robust rule raises on it."""
+        hit = abs(E) >= cut
+        bad = self.tau_out is not None and not math.isfinite(
+            E if isinstance(E, float) else E.sum())
+        if bad:
+            hit = hit | ~np.isfinite(E)
+        return hit, bad
+
+    def _under_clip(self, tau):
+        """tau, an array or a number, capped at tau_out: the clip wins while
+        a plan warms up."""
+        if self.tau_out is None:
+            return tau
+        if isinstance(tau, np.ndarray):
+            return np.minimum(tau, self.tau_out)
+        return min(tau, self.tau_out)
+
+    def _online_tau(self, Xw, rs, n, q=None):
+        """ac-online thresholds from x'Px (n-1)/n, under the clip: of a window
+        Xw (B, r, p) of replicates rs whose first data are steps n + 1, or,
+        with Xw None, of one datum at step n whose x'Px is q."""
+        if Xw is None:
+            return self._under_clip(self.plan.threshold(n, quadratic_form=q * (n - 1) / n))
+        steps = n + 1 + np.arange(len(Xw))[:, None]
+        q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
+        return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
+
+    def _clip(self, rows, e, tau, check):
+        """Robust rule on the kept innovations e of replicates rows, an
+        array, or on one replicate's e, a number (checked for values that
+        are not finite if `check`): (score, weight), outliers clipped to
+        tau_out sigma sign(e) with weight 0; weight None if none is."""
+        if check and not np.isfinite(e).all():
+            e1, tau1 = np.atleast_1d(e, tau)
+            r = int(np.isfinite(e1).argmin())
+            robust_decide(float(e1[r]), self.sigma, float(tau1[r]), self.tau_out)
+        bound = self.tau_out * self.sigma
+        out = abs(e) >= bound
+        many = isinstance(out, np.ndarray)
+        if not (out.any() if many else out):
+            return e, None
+        self.clipped[rows] += out
+        score = bound * (e > 0) - bound * (e < 0)  # tau_out sigma sign(e), e != 0 here
+        return (np.where(out, score, e), np.where(out, 0.0, 1.0)) if many else (score, 0.0)
+
+    # -- results ------------------------------------------------------------
+
+    def traces(self):
+        """(mse, censor ratio, multiplies) of every replicate at each mark,
+        each shaped (marks, R)."""
+        mse, (kept, clipped) = self._at[0], self._at[1:].astype(np.int64)
+        at = np.array(self.marks)[:, None]
+        every, per_kept, per_clipped = _multiplies(self.method, self.theta.shape[1], self.online)
+        return mse, (at - kept) / at, at * every + kept * per_kept + clipped * per_clipped
+
+
+class _Gate:
+    """A single-stream estimator: one replicate of ``_Lockstep``, stepped
+    one datum at a time, with its counters and snapshot.
+
+    theta, and P for a second-order recursion, are views of the kernel's
+    row; sigma, tau_out and the plan are the kernel's.
+    """
+
+    _saved = ("theta", "sigma", "tau_out", "n", "multiply_count", "kept_count")
+
     def __init__(self, theta, sigma: float | None, plan: ThresholdPlan | None,
-                 tau_out: float | None):
+                 tau_out: float | None, mu: StepSize | None = None, P=None):
         if sigma is None:
             if plan is not None or tau_out is not None:
                 raise ConfigError("a threshold plan or an outlier bound needs sigma")
         elif sigma <= 0.0:
             raise ConfigError("sigma must be positive")
-        self.theta = np.array(theta, dtype=np.float64)
-        self.sigma = None if sigma is None else float(sigma)
-        self.plan = plan
-        self.tau_out = None if tau_out is None else float(tau_out)
-        self.n = 0
-        self.multiply_count = 0
-        self.kept_count = 0
+        theta = np.asarray(theta, dtype=np.float64)
+        p, kind = theta.shape[0], self.kind
+        method = kind if sigma is None or kind.startswith("samle") else "ac-" + kind
+        self._k = _Lockstep(method, 1, p, None if sigma is None else float(sigma), theta[None],
+                            None if P is None else np.asarray(P)[None], mu, plan,
+                            None if tau_out is None else float(tau_out))
+        # Ledgers of a step whose tau is given or comes from the plan.
+        self._costs = (_multiplies(method, p), _multiplies(method, p, self._k.online))
+        self.n = self.multiply_count = self.kept_count = 0
+
+    sigma = property(lambda self: self._k.sigma)
+    tau_out = property(lambda self: self._k.tau_out)
+    plan = property(lambda self: self._k.plan)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._k.theta_rows[0]
+
+    @theta.setter
+    def theta(self, value) -> None:
+        self._k.theta_rows[0][:] = value
 
     @property
     def p(self) -> int:
         return self.theta.shape[0]
-
-    def _ready(self, x: np.ndarray) -> None:
-        pass
-
-    def _plan_tau(self, n: int, x: np.ndarray):
-        """(tau, v, s) for step n; v = Px and s = x'Px when the plan read them."""
-        return self.plan.threshold(n, x=x), None, None
 
     def step(self, y: float, x, tau: float | None = None) -> tuple["_Gate", CensorDecision]:
         """Gate one datum and update on it if kept; returns (self, decision).
 
         An open gate keeps every datum and ignores tau.  Otherwise the
         datum is kept iff |e| >= tau sigma (boundary kept), with tau given
-        here or read from the plan.  With tau_out, robust_decide takes the
-        decision and an outlier is kept with its score clipped.
+        here or read from the plan.  With tau_out, a tau given here must
+        suit the robust rule, and an outlier is kept with its score clipped.
         """
         x = np.asarray(x, dtype=np.float64)
-        self._ready(x)
-        n = self.n + 1
-        v = s = None
-        if self.sigma is not None and tau is None:
-            if self.plan is None:
+        k = self._k
+        if k.P is None and k.mu is None:  # RLS fixes its ridge at the first datum
+            if self.epsilon is None:
+                self.epsilon = float(default_ridge(x, k.plan, k.tau_out))
+            k._take_P(np.eye(x.size)[None] / self.epsilon)
+        n, planned, Px = self.n + 1, k.gated and tau is None, None
+        if planned:
+            if k.plan is None:
                 raise ConfigError("no tau given and no threshold plan configured")
-            tau, v, s = self._plan_tau(n, x)
-            if self.tau_out is not None:
-                # An adaptive schedule can ask for a threshold above the clip
-                # boundary while it warms up; the clip stays in charge there.
-                tau = min(tau, self.tau_out)
+            if k.online:  # x'Px, which a kept step then reuses
+                Px = k._quadratic(0, x)
+                tau = k._online_tau(None, None, n, Px[1])
+            else:
+                tau = k.plan.threshold(n, x=x)
+                if k.tau_out is not None:
+                    # An adaptive schedule can ask for a threshold above the clip
+                    # boundary while it warms up; the clip stays in charge there.
+                    tau = k._under_clip(tau)
+        every, per_kept, per_clipped = self._costs[planned]
         self.n = n
-        e = float(y) - float(x @ self.theta)
-        self.multiply_count += x.shape[0]
-        if self.tau_out is not None:
-            decision = robust_decide(e, self.sigma, tau, self.tau_out)
-            kept, outlier = decision.kept, decision.outlier
-        else:
-            kept, outlier = self.sigma is None or abs(e) >= tau * self.sigma, False
-        if not kept:
-            return self, CensorDecision(False)
+        self.multiply_count += every
+        e, bad = float(y) - float(x @ k.theta_rows[0]), False
+        if k.gated:
+            if k.tau_out is not None and not planned:
+                robust_decide(e, k.sigma, tau, k.tau_out)
+            hit, bad = k._hits(e, tau * k.sigma)
+            if not hit:
+                return self, CensorDecision(False)
+        beta, h = e, None
+        if k.tau_out is not None:
+            beta, h = k._clip(0, e, tau, bad)
         self.kept_count += 1
-        if outlier:
-            e = self.tau_out * self.sigma * math.copysign(1.0, e)
-        self._kept(x, e, outlier, v, s)
-        return self, CensorDecision(True, float(y), outlier)
+        k.update(0, x, beta, h, n, Px)
+        self.multiply_count += per_kept + (h is not None) * per_clipped
+        return self, CensorDecision(True, float(y), h is not None)
 
     def snapshot(self) -> dict:
         """The estimator's state as a JSON document (see the module docstring)."""
         doc = {"kind": self.kind}
-        for name, value in vars(self).items():
-            if name == "plan":
-                continue
+        for name in self._saved:
+            value = getattr(self, name)
             if isinstance(value, np.ndarray):
                 value = value.tolist()
             elif isinstance(value, StepSize):
@@ -264,18 +623,12 @@ class LMS(_Gate):
     """
 
     kind = "lms"
+    _saved = _Gate._saved + ("mu",)
+    mu = property(lambda self: self._k.mu)
 
     def __init__(self, p: int, mu: StepSize, sigma: float | None = None,
                  plan: ThresholdPlan | None = None, tau_out: float | None = None):
-        super().__init__(np.zeros(int(p)), sigma, plan, tau_out)
-        self.mu = mu
-
-    def _update(self, x: np.ndarray, beta: float) -> None:
-        self.theta += (self.mu.at(self.n) * beta) * x
-
-    def _kept(self, x, beta, outlier, v, s) -> None:
-        self._update(x, beta)
-        self.multiply_count += x.shape[0] + 1
+        super().__init__(np.zeros(int(p)), sigma, plan, tau_out, mu)
 
 
 class RLS(_Gate):
@@ -301,14 +654,18 @@ class RLS(_Gate):
     """
 
     kind = "rls"
-    _breakdown = "update denominator vanished"
+    _saved = _Gate._saved + ("epsilon", "P")
 
     def __init__(self, p: int, epsilon: float | None = None, theta0=None, inv_gram0=None,
                  sigma: float | None = None, plan: ThresholdPlan | None = None,
                  tau_out: float | None = None):
-        super().__init__(np.zeros(int(p)) if theta0 is None else theta0, sigma, plan, tau_out)
+        super().__init__(np.zeros(int(p)) if theta0 is None else theta0, sigma, plan, tau_out,
+                         P=inv_gram0)
         self.epsilon = None if epsilon is None else float(epsilon)
-        self.P = None if inv_gram0 is None else np.array(inv_gram0, dtype=np.float64)
+
+    @property
+    def P(self) -> np.ndarray | None:
+        return None if self._k.P is None else self._k.P[0]
 
     @property
     def C(self) -> np.ndarray:
@@ -319,65 +676,36 @@ class RLS(_Gate):
             return np.linalg.inv(self.P)
         return self.n * self.P
 
-    def _ready(self, x: np.ndarray) -> None:
-        if self.P is not None:
-            return
-        if self.epsilon is None:
-            self.epsilon = float(default_ridge(x, self.plan, self.tau_out))
-        self.P = np.eye(self.p) / self.epsilon
-
-    def _plan_tau(self, n: int, x: np.ndarray):
-        if not self.plan.needs_quadratic_form:
-            return super()._plan_tau(n, x)
-        v = self.P @ x
-        s = float(x @ v)
-        self.multiply_count += self.p * (self.p + 1)
-        q = s * (n - 1) / n  # x' C_{n-1} x / n with C_{n-1} = (n-1) P
-        return self.plan.threshold(n, quadratic_form=q), v, s
-
-    def _update(self, x: np.ndarray, beta: float, h: float, v=None, s=None) -> None:
-        """Sherman-Morrison with weight h, P <- (P^-1 + h x x')^-1 in place,
-        then theta += beta P x with the updated P; v = Px and s = x'Px if
-        known.  h = 0 leaves P untouched."""
-        P = self.P
-        if v is None:
-            v = P @ x
-            s = float(x @ v) if h else 0.0
-        denom = 1.0 + h * s
-        if abs(denom) < _SINGULAR_TOL:
-            raise SingularityError(self._breakdown)
-        k = v * (1.0 / denom)  # the updated P times x
-        if h:
-            P -= np.outer(k * h, v)
-        self.theta += beta * k
-
-    def _kept(self, x, beta, outlier, v, s) -> None:
-        p = self.p
-        if v is None:
-            self.multiply_count += p * p + (0 if outlier else p)
-        self._update(x, beta, 0.0 if outlier else 1.0, v, s)
-        self.multiply_count += p if outlier else p * p + 2 * p
-
 
 # ---------------------------------------------------------------------
 # Likelihood-driven estimators (non-adaptive censoring)
 # ---------------------------------------------------------------------
 
 
-def _likelihood_term(est, decision: CensorDecision, x: np.ndarray, tau: float) -> CensoredTerm:
-    """Count one datum and turn the censor's decision into its likelihood
-    term; a censored term is anchored at x'theta_K, which costs p."""
-    est.n += 1
-    if decision.kept:
-        if decision.value is None:
-            raise UsageError("kept decision carries no value")
-        est.kept_count += 1
-        return CensoredTerm(False, float(decision.value), x, tau, est.sigma)
-    est.multiply_count += x.shape[0]
-    return CensoredTerm(True, float(x @ est.anchor_theta), x, tau, est.sigma)
+class _CensoredMLE:
+    """Steps on a censor's decision: the datum becomes its likelihood term,
+    a censored one anchored at x'theta_K, and the recursion takes the
+    term's beta and h from ``evaluate``."""
+
+    def step(self, decision: CensorDecision, x, tau: float):
+        x = np.asarray(x, dtype=np.float64)
+        self.n += 1
+        every, per_kept, _ = self._costs[0]
+        if decision.kept:
+            if decision.value is None:
+                raise UsageError("kept decision carries no value")
+            self.kept_count += 1
+            self.multiply_count += every + per_kept
+            term = CensoredTerm(False, float(decision.value), x, tau, self.sigma)
+        else:
+            self.multiply_count += every
+            term = CensoredTerm(True, float(x @ self.anchor_theta), x, tau, self.sigma)
+        si = evaluate(term, self.theta)
+        self._k.update(0, x, si.beta, si.info, self.n)
+        return self
 
 
-class FirstOrderCensoredMLE(LMS):
+class FirstOrderCensoredMLE(_CensoredMLE, LMS):
     """Stochastic-gradient MLE over censored likelihood terms.
 
     theta_n = theta_{n-1} + mu_n * beta_n * x_n, started at the
@@ -390,21 +718,14 @@ class FirstOrderCensoredMLE(LMS):
     """
 
     kind = "samle1"
+    _saved = LMS._saved + ("anchor_theta",)
 
     def __init__(self, prelim: PreliminaryFit, sigma: float, mu: StepSize):
-        super().__init__(prelim.theta.size, mu, sigma)
-        self.theta = np.array(prelim.theta, dtype=np.float64)
+        _Gate.__init__(self, prelim.theta, sigma, None, None, mu)
         self.anchor_theta = self.theta.copy()
 
-    def step(self, decision: CensorDecision, x, tau: float) -> "FirstOrderCensoredMLE":
-        x = np.asarray(x, dtype=np.float64)
-        term = _likelihood_term(self, decision, x, tau)
-        self._update(x, evaluate(term, self.theta).beta)
-        self.multiply_count += 2 * x.shape[0] + 1
-        return self
 
-
-class SecondOrderCensoredMLE(RLS):
+class SecondOrderCensoredMLE(_CensoredMLE, RLS):
     """Newton-style MLE: the gradient is scaled by the inverse average
     per-datum information.
 
@@ -420,21 +741,12 @@ class SecondOrderCensoredMLE(RLS):
     """
 
     kind = "samle2"
-    _breakdown = "information update denominator vanished"
+    _saved = RLS._saved + ("anchor_theta",)
 
     def __init__(self, prelim: PreliminaryFit, sigma: float):
         super().__init__(prelim.theta.size, theta0=prelim.theta,
                          inv_gram0=(sigma * sigma) * np.asarray(prelim.gram_inv), sigma=sigma)
         self.anchor_theta = self.theta.copy()
-
-    def step(self, decision: CensorDecision, x, tau: float) -> "SecondOrderCensoredMLE":
-        x = np.asarray(x, dtype=np.float64)
-        term = _likelihood_term(self, decision, x, tau)
-        si = evaluate(term, self.theta)
-        self._update(x, si.beta, si.info)
-        p = x.shape[0]
-        self.multiply_count += 2 * p * p + 3 * p + 2
-        return self
 
 
 # ---------------------------------------------------------------------
@@ -505,13 +817,17 @@ def from_snapshot(doc: dict):
     cls = kinds.get(doc.get("kind"))
     if cls is None:
         raise ConfigError(f"unknown estimator kind in snapshot: {doc.get('kind')!r}")
-    est = object.__new__(cls)
-    est.plan = None
+    state = {}
     for name, value in doc.items():
         if isinstance(value, list):
             value = np.array(value, dtype=np.float64)
         elif isinstance(value, dict):
             value = StepSize(**value)
         if name != "kind":
-            setattr(est, name, value)
+            state[name] = value
+    est = object.__new__(cls)
+    _Gate.__init__(est, state.pop("theta"), state.pop("sigma"), None, state.pop("tau_out"),
+                   state.pop("mu", None), state.pop("P", None))
+    for name, value in state.items():
+        setattr(est, name, value)
     return est

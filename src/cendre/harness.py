@@ -4,8 +4,11 @@ Wires a data source (synthetic stream or CSV dataset) through a
 censoring rule into an estimator, records error and cost metrics on a
 compact schedule, repeats over derived replicate seeds, and aggregates.
 The replicates of a streaming method advance in lockstep, as one state
-(see ``_Lockstep``); the single-stream estimator classes are the
-reference it is tested against.
+of the kernel ``cendre.estimators._Lockstep``, whose one-replicate case
+the single-stream estimator classes run.  This module resolves a
+config into the kernel's step size, threshold plan and warm-up fits,
+takes the NAC decisions against those fits, and feeds the kernel panels
+of the stream.
 
 Everything is reproducible: replicate r of a config with seed s runs
 on child seed derive(s, r), the true coefficients are resolved once
@@ -25,15 +28,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
-from .censor import ThresholdPlan, _half_tail_quantile, nac_decide, robust_decide
+from .censor import ThresholdPlan, _half_tail_quantile, nac_decide
 from .datagen import StreamSpec, generate, materialize
 from .errors import ConfigError, DomainError, SingularityError, config_section, read_field
-from .estimators import (_PANEL, _SINGULAR_TOL, StepSize, default_ridge, kaczmarz_run,
-                         preliminary_fit)
+from .estimators import _PANEL, StepSize, _Lockstep, kaczmarz_run, preliminary_fit
 from .ingest import _write_json, load_csv, surrogate_truth
-from .likelihood import score_info
 from .numkit.gaussian import gauss_pdf, gauss_q
 from .numkit.rng import derive
 from .sketch import solve_reduced, srht_reduce, uniform_reduce
@@ -413,11 +413,41 @@ def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
             raise ConfigError(f"stream provides {total} data, fewer than K={cfg.K}")
         panels, prelims = _warm_up(panels, cfg.K, len(seeds))
     marks = _schedule_for(cfg, total - (cfg.K if prelims else 0))
-    run = _Lockstep(cfg, len(seeds), theta_o, sigma, prelims, marks)
-    advance = run.nac_panel if prelims else run.ac_panel
-    for Y, X in panels:
-        advance(Y, X)
-    return run.traces(cfg, seeds)
+    method, p = cfg.method, theta_o.shape[0]
+    theta = P = None
+    if prelims:
+        theta = np.array([f.theta for f in prelims])
+        if method == "samle2":
+            P = np.array([(sigma * sigma) * f.gram_inv for f in prelims])
+    run = _Lockstep(method, len(seeds), p, sigma, theta, P,
+                    mu=_resolve_mu(cfg, sigma) if method in _FIRST_ORDER else None,
+                    plan=_plan(cfg, p) if method in AC_METHODS else None,
+                    tau_out=cfg.tau_out if method in ("rac-lms", "rac-rls") else None,
+                    epsilon=cfg.epsilon, marks=marks, theta_o=theta_o)
+    if prelims:
+        plans = [_plan(cfg, p, f) for f in prelims]
+        for Y, X in panels:
+            _nac_panel(run, theta, plans, Y, X)
+    else:
+        for Y, X in panels:
+            run.ac_panel(Y, X)
+    mse, ratios, mults = run.traces()
+    return [_trace(cfg, seed, marks, mse[:, r], ratios[:, r], mults[:, r], theta_o,
+                   run.kept[r], run.theta[r])
+            for r, seed in enumerate(seeds)]
+
+
+def _nac_panel(run: _Lockstep, anchors, plans, Y, X) -> None:
+    """Censor a panel against the preliminary fits, then step through it."""
+    m, sigma = len(Y), run.sigma
+    y_hat = np.einsum("mrp,rp->mr", X, anchors)
+    tau = np.stack([plan.thresholds(run.n + 1, run.n + 1 + m, x=X[:, r])
+                    for r, plan in enumerate(plans)], axis=1)
+    bad = ~(np.isfinite(Y) & np.isfinite(y_hat) & np.isfinite(tau) & (tau >= 0.0))
+    if bad.any():
+        i, r = np.argwhere(bad)[0]
+        nac_decide(float(Y[i, r]), float(y_hat[i, r]), sigma, float(tau[i, r]))
+    run.nac_panel(Y, y_hat, tau, X)
 
 
 def _warm_up(panels, K: int, R: int):
@@ -439,336 +469,6 @@ def _warm_up(panels, K: int, R: int):
             raise SingularityError(f"preliminary fit on the first K={K} data "
                                    f"is rank deficient") from exc
     return itertools.chain([(Y[take:], X[take:])], panels), prelims
-
-
-class _Lockstep:
-    """The R replicates of one streaming method, advanced as one state.
-
-    theta is (R, p) and the step matrix P (U for samle2) is (R, p, p).
-    The gate (none, the NAC interval term, the AC skip, the robust clip)
-    sets a score beta and a weight h per replicate; the recursion is
-    theta += mu_n beta x, or P <- (P^-1 + h x x')^-1 and theta += beta P x.
-    samle2 and rls update every P in one batch, gated RLS and a lone
-    replicate each stepping P[r] in place by BLAS.  Each product and each
-    rank-one entry is computed the same way for one row as for many, so a
-    replicate's trace does not depend on its company.
-
-    A panel advances in one of three ways.  Every replicate on every
-    datum: NAC decisions against the fixed preliminary fits are taken a
-    panel at a time, and lms and rls, which keep every datum, share one
-    position when R > 1.  Desynchronized rounds: on the gated AC path a
-    censored datum moves neither theta nor P, so each replicate has its
-    own position in the panel.  A round scans each one's innovations
-    ahead over twice the realized mean gap between kept data; those that
-    hit step together, each on its own first kept datum, and the others
-    skip the window.  One lone replicate: with R = 1, or once the others
-    reach the panel's end, _lone runs the same rounds on slices of one
-    row, its per-replicate values Python numbers.  A mark a jump crosses
-    sees the theta from before the step, and all meet at the panel's
-    end.  Multiply ledgers are exact, from kept and clipped.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, R: int, theta_o, sigma: float, prelims, marks):
-        method = cfg.method
-        p = theta_o.shape[0]
-        self.method, self.sigma, self.theta_o, self.marks = method, sigma, theta_o, marks
-        self.theta = np.zeros((R, p))
-        self.P = None
-        if prelims is not None:
-            self.anchors = np.array([f.theta for f in prelims])
-            self.theta = self.anchors.copy()
-            self.plans = [_plan(cfg, p, f) for f in prelims]
-            if method == "samle2":
-                self.P = np.array([(sigma * sigma) * f.gram_inv for f in prelims])
-        self.mu = _resolve_mu(cfg, sigma) if method in _FIRST_ORDER else None
-        self.plan = _plan(cfg, p) if method in AC_METHODS else None
-        self.online = self.plan is not None and self.plan.needs_quadratic_form
-        self.tau_out = cfg.tau_out if method in ("rac-lms", "rac-rls") else None
-        self.gated = method not in ("lms", "rls")
-        self.epsilon = cfg.epsilon
-        self.kept = np.zeros(R, dtype=np.int64)
-        self.clipped = np.zeros(R, dtype=np.int64)
-        self.n = self.rounds = self._kept_sum = 0  # steps before the panel; kept by all
-        # Marks and a step none reaches; each replicate's next; (mse, kept, clipped) at each.
-        self._mark_n = np.array([*marks, np.iinfo(np.int64).max], dtype=np.int64)
-        self._mark_i = np.zeros(R, dtype=np.int64)
-        self._soonest = marks[0]
-        self._at = np.zeros((3, len(marks), R))
-
-    # -- the recursion ----------------------------------------------------
-
-    def update(self, rows, x, beta, h, n) -> None:
-        """One recursion step of replicates `rows` (all when None), row i on
-        datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
-        clipped outlier, leaves P alone).  rows may also be one replicate's
-        index, with x of shape (1, p) and beta, h and n numbers.  No other
-        replicate is written."""
-        theta, P = self.theta, self.P
-        if isinstance(rows, int):  # one replicate, on 1-row arrays and numbers
-            if self.mu is not None:
-                theta[rows] += (self.mu.at(n) * beta) * x[0]
-                return
-            v = np.matmul(P[rows:rows + 1], x[:, :, None])[:, :, 0]
-            s = float(np.einsum("rp,rp->r", x, v)[0])
-            denom = 1.0 + (s if h is None else h * s)
-            if abs(denom) < _SINGULAR_TOL:
-                raise self._breakdown(n)
-            k = v[0] * (1.0 / denom)
-            theta[rows] += beta * k
-            if h is None or h:
-                dgemm(-1.0, v[0, :, None], k[None], 1.0, self.P_fortran[rows], overwrite_c=1)
-            return
-        every = rows is None or rows.size == theta.shape[0]
-        if self.mu is not None:
-            d = (self.mu.at(n) * beta)[:, None] * x
-        else:
-            if every:
-                v = np.matmul(P, x[:, :, None])[:, :, 0]
-            else:  # P x of every row, the others against x = 0, and keep ours
-                xr = np.zeros_like(theta)
-                xr[rows] = x
-                v = np.matmul(P, xr[:, :, None])[rows, :, 0]
-            s = np.einsum("rp,rp->r", x, v)
-            denom = 1.0 + (s if h is None else h * s)
-            bad = np.abs(denom) < _SINGULAR_TOL
-            if bad.any():
-                raise self._breakdown(np.broadcast_to(n, bad.shape)[bad].min())
-            k = v * (1.0 / denom)[:, None]  # the updated P times x
-            d = beta[:, None] * k
-        if every:
-            theta += d
-        else:
-            theta[rows] += d
-        if self.mu is not None:
-            return
-        if rows is None:
-            P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
-            return
-        for i, r in enumerate(rows.tolist()):
-            if h is None or h[i]:
-                # P[r] -= k v' as a gemm of inner dimension 1: OpenBLAS keeps it
-                # on one thread, where dger woke two at p = 200, twice as slow.
-                dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
-
-    def _breakdown(self, step) -> SingularityError:
-        return SingularityError(f"{self.method} broke down at step {step}: "
-                                f"{'information ' * (self.method == 'samle2')}update "
-                                "denominator vanished")
-
-    def _record(self, rows, upto) -> None:
-        """Record every mark of replicate rows[i] up to its step upto[i]
-        (or upto for all) from the current theta."""
-        while True:
-            at = self._mark_i[rows]
-            due = self._mark_n[at] <= upto
-            if not due.any():
-                break
-            rows, at, upto = rows[due], at[due], np.broadcast_to(upto, due.shape)[due]
-            err = self.theta[rows] - self.theta_o
-            self._at[:, at, rows] = (np.einsum("rp,rp->r", err, err), self.kept[rows],
-                                     self.clipped[rows])
-            self._mark_i[rows] = at + 1
-        self._soonest = int(self._mark_n[self._mark_i].min())
-
-    # -- the gates ----------------------------------------------------------
-
-    def nac_panel(self, Y, X) -> None:
-        """Censor a panel against the preliminary fits, then step through it."""
-        m, sigma = len(Y), self.sigma
-        y_hat = np.einsum("mrp,rp->mr", X, self.anchors)
-        tau = np.stack([plan.thresholds(self.n + 1, self.n + 1 + m, x=X[:, r])
-                        for r, plan in enumerate(self.plans)], axis=1)
-        bad = ~(np.isfinite(Y) & np.isfinite(y_hat) & np.isfinite(tau) & (tau >= 0.0))
-        if bad.any():
-            i, r = np.argwhere(bad)[0]
-            nac_decide(float(Y[i, r]), float(y_hat[i, r]), sigma, float(tau[i, r]))
-        keep = np.abs(Y - y_hat) >= tau * sigma
-        censored, value = ~keep, np.where(keep, Y, y_hat)
-        for i in range(m):
-            x = X[i]
-            beta, h = score_info(censored[i], value[i], np.einsum("rp,rp->r", x, self.theta),
-                                 tau[i], sigma)
-            self.n += 1
-            self.update(None, x, beta, h, self.n)
-            self.kept += keep[i]
-            if self.n >= self._soonest:
-                self._record(np.arange(len(x)), self.n)
-
-    def ac_panel(self, Y, X) -> None:
-        """Step each replicate through a panel to its own kept data, in rounds."""
-        m, R = Y.shape
-        if self.P is None and self.mu is None:
-            eps = self.epsilon
-            eps = default_ridge(X[0], self.plan, self.tau_out) if eps is None else eps
-            self.P = np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None]
-            # P[r].T is a Fortran-order view, which BLAS updates in place.
-            self.P_fortran = list(self.P.transpose(0, 2, 1))
-        panel_tau = None
-        if self.plan is not None and not self.online:  # tau depends on n alone
-            panel_tau = self._under_clip(self.plan.thresholds(self.n + 1, self.n + 1 + m))
-        ahead = np.arange(m)[:, None]
-        act, a, front = np.arange(R), np.zeros(R, dtype=np.int64), 0  # active, positions, lead
-        while act.size > 1:
-            if self.gated:
-                B = self._window(self.n + front, R)
-                n, rs = self.n + a, act if act.size < R else slice(None)
-                lim = B if front + B <= m else np.minimum(m - a, B)
-                at = np.minimum(a + ahead[:B], m - 1)
-                Xw, Yw = X[at, act], Y[at, act]
-            else:  # every replicate keeps every datum: one shared position
-                n, rs, B = self.n + front, slice(None), 1
-                Xw, Yw = X[front:front + 1], Y[front:front + 1]
-            E = Yw - np.einsum("brp,rp->br", Xw, self.theta[rs])
-            watch = self._soonest <= self.n + front + B  # a mark may fall in this round
-            if self.gated:
-                tau = self._online_tau(Xw, rs, n) if self.online else panel_tau[at]
-                hit, bad = self._hits(E, tau * self.sigma)
-                if lim is not B:
-                    hit &= ahead[:B] < lim
-                got = hit.any(axis=0)
-                j = np.where(got, hit.argmax(axis=0), lim)
-                if watch:  # marks inside a jump see the theta before its step
-                    self._record(act, n + j)
-                cols = got.nonzero()[0]
-                k, rows = (j[cols], cols), act[cols]
-                a += j + got
-                step, front = self.n + a[cols], int(a.max())
-            else:
-                k, rows, step = 0, None, n + 1
-                front += 1
-            if rows is None or rows.size:
-                beta, x, h = E[k], Xw[k], None
-                if self.tau_out is not None:
-                    beta, h = self._clip(rows, beta, tau[k], bad)
-                self.kept[rs if rows is None else rows] += 1
-                self._kept_sum += beta.size
-                self.rounds += 1
-                self.update(rows, x, beta, h, step)
-                if watch:
-                    self._record(act if rows is None else rows, step)
-            if front >= m:  # drop the replicates at the panel's end
-                act, a = (act[a < m], a[a < m]) if self.gated else (act[:0], a)
-                front = int(a.max()) if act.size else 0
-        if act.size:
-            self._lone(int(act[0]), front, Y, X, panel_tau)
-        self.n += m
-
-    def _lone(self, r, a, Y, X, panel_tau) -> None:
-        """The rounds of ac_panel for one active replicate r, from its
-        position a to the panel's end: each window a slice, and every value
-        of the replicate's own a Python number."""
-        m, R = Y.shape
-        rs, act, sigma, tau_out = slice(r, r + 1), np.array([r]), self.sigma, self.tau_out
-        cut = None if panel_tau is None else panel_tau * sigma
-        while a < m:
-            n = self.n + a
-            B = min(self._window(n, R), m - a) if self.gated else 1
-            Xw = X[a:a + B, rs]
-            E = (Y[a:a + B, rs] - np.einsum("brp,rp->br", Xw, self.theta[rs]))[:, 0]
-            watch = self._soonest <= n + B  # a mark may fall in this round
-            j, got, bad = 0, True, False
-            if self.gated:
-                if self.online:
-                    tau = self._online_tau(Xw, rs, n)[:, 0]
-                    hit, bad = self._hits(E, tau * sigma)
-                else:
-                    tau = panel_tau[a:a + B]
-                    hit, bad = self._hits(E, cut[a:a + B])
-                j = int(hit.argmax())
-                got = bool(hit[j])
-                j = j if got else B
-                if watch:  # marks inside a jump see the theta before its step
-                    self._record(act, n + j)
-            a += j + got
-            if not got:
-                continue
-            e, h = float(E[j]), None
-            if tau_out is not None:
-                if bad and not math.isfinite(e):
-                    robust_decide(e, sigma, float(tau[j]), tau_out)
-                if abs(e) >= tau_out * sigma:  # an outlier: clip its score, keep P
-                    e, h = math.copysign(tau_out * sigma, e), 0.0
-                    self.clipped[r] += 1
-            self.kept[r] += 1
-            self._kept_sum += 1
-            self.rounds += 1
-            self.update(r, Xw[j], e, h, n + j + 1)
-            if watch:
-                self._record(act, n + j + 1)
-
-    def _window(self, lead: int, R: int) -> int:
-        """Data a round scans: twice the realized mean gap between kept data,
-        the lead's steps over the mean kept count."""
-        return max(1, (2 * lead + 1) * R // (self._kept_sum + R))
-
-    def _hits(self, E, cut):
-        """(where |E| >= cut, bad): bad when, with tau_out, E holds a value
-        that is not finite, which is then a hit too, for the robust rule
-        raises on it."""
-        hit = np.abs(E) >= cut
-        bad = self.tau_out is not None and not np.isfinite(E.sum())
-        if bad:
-            hit |= ~np.isfinite(E)
-        return hit, bad
-
-    def _under_clip(self, tau):
-        """tau capped at tau_out: the clip wins while a plan warms up."""
-        return tau if self.tau_out is None else np.minimum(tau, self.tau_out)
-
-    def _online_tau(self, Xw, rs, n):
-        """ac-online thresholds of a window Xw (B, r, p) of replicates rs, whose
-        first data are steps n + 1: from x'Px (n-1)/n, under the clip."""
-        steps = n + 1 + np.arange(len(Xw))[:, None]
-        q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
-        return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
-
-    def _clip(self, rows, e, tau, check):
-        """Robust rule on the kept innovations e of replicates rows (checked
-        for non-finite values if `check`): (score, weight), outliers clipped
-        to tau_out sigma sign(e) with weight 0; weight None if none is."""
-        if check and not np.isfinite(e).all():
-            r = int(np.isfinite(e).argmin())
-            robust_decide(float(e[r]), self.sigma, float(tau[r]), self.tau_out)
-        bound = self.tau_out * self.sigma
-        out = np.abs(e) >= bound
-        if not out.any():
-            return e, None
-        self.clipped[rows] += out
-        return np.where(out, bound * np.copysign(1.0, e), e), np.where(out, 0.0, 1.0)
-
-    # -- results ------------------------------------------------------------
-
-    def traces(self, cfg: ExperimentConfig, seeds) -> list[TrialTrace]:
-        mse, (kept, clipped) = self._at[0], self._at[1:].astype(np.int64)
-        at = np.array(self.marks)[:, None]
-        ratios = (at - kept) / at
-        mults = np.broadcast_to(_multiplies(self.method, self.theta.shape[1], at, kept, clipped,
-                                            self.online), kept.shape)
-        return [_trace(cfg, seed, self.marks, mse[:, r], ratios[:, r], mults[:, r],
-                       self.theta_o, self.kept[r], self.theta[r])
-                for r, seed in enumerate(seeds)]
-
-
-def _multiplies(method: str, p: int, n, kept, clipped, online: bool):
-    """Exact multiply count of n steps that kept `kept` data, `clipped` of
-    them as outliers; the per-step costs are in the docstrings of LMS,
-    RLS and the two censored-MLE classes in ``cendre.estimators``."""
-    if method == "samle1":
-        return n * (3 * p + 1) - kept * p
-    if method == "samle2":
-        return n * (2 * p * p + 4 * p + 2) - kept * p
-    if method == "lms":
-        return n * (2 * p + 1)
-    if method == "rls":
-        return n * (2 * p * p + 4 * p)
-    if method in ("ac-lms", "rac-lms"):
-        return n * p + kept * (p + 1)
-    # ac-rls, rac-rls: an online plan reads x'Px every step, and a kept
-    # step then reuses P x.
-    every = p + online * p * (p + 1)
-    nominal = 2 * p * p + 3 * p - online * p * (p + 1)
-    outlier = p + (not online) * p * p
-    return n * every + (kept - clipped) * nominal + clipped * outlier
 
 
 def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:

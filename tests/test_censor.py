@@ -46,6 +46,17 @@ def test_nac_boundary_is_kept():
     assert nac_decide(1.5, 0.0, 1.0, 1.5).kept
 
 
+@pytest.mark.parametrize("y, y_hat", [(1.0, 0.2), (np.float64(1.0), 0.2), (1.0, np.float64(0.2)),
+                                        (np.float64(1.0), np.float64(0.9))],
+                         ids=["python", "numpy-y", "numpy-y_hat", "numpy-censored"])
+def test_nac_decision_fields_are_python_types(y, y_hat):
+    # The dataclass declares kept: bool and value: float | None, also for
+    # numpy scalars in, e.g. a prediction x @ theta.
+    d = nac_decide(y, y_hat, 1.0, 0.4)
+    assert type(d.kept) is bool
+    assert type(d.value) is float if d.kept else d.value is None
+
+
 def test_nac_value_only_when_kept():
     rng = np.random.default_rng(1)
     for _ in range(200):

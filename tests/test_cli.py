@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, precedence, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -372,3 +374,31 @@ def test_tracer_binds_every_required_boundary():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "MissingBoundary" not in proc.stderr
+
+
+@pytest.mark.parametrize("config", ["robust.json", "censor75.json"])
+def test_traced_benchmark_trial(tmp_path, config):
+    # One traced trial of perfbench's worker on a toy copy of a committed
+    # config, shrunk as its smoke runs are: D = K + 400, two replicates.
+    # The tracer wraps every step and snapshot of a class in
+    # cendre.estimators, and each layer's self time must add up to the root.
+    root = Path(__file__).resolve().parents[1]
+    doc = json.loads((root / "configs" / config).read_text())
+    doc["stream"] = dict(doc["stream"], D=int(doc.get("K", 0)) + 400)
+    doc["replicates"] = min(int(doc.get("replicates", 1)), 2)
+    doc.pop("record_at", None)
+    cfg, report = tmp_path / "config.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "CENDRE_SEED"}
+    env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--mode", "traced",
+         "--spawn", repr(time.perf_counter()), "--config", str(cfg), "--report", str(report),
+         "--", "run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "5"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(report.read_text())
+    assert doc["rc"] == 0
+    trace = doc["trace"]
+    assert trace["violations"] == 0
+    assert sum(trace["layer_self_ns"].values()) == trace["root_ns"] > 0

@@ -1,10 +1,14 @@
-"""Lockstep replicates against the single-stream estimator classes.
+"""Lockstep replicates against independent oracles.
 
 The harness advances all replicates of a streaming method as one state.
-The scalar classes in ``cendre.estimators`` stay the reference: each
-replicate is replayed here datum by datum through the class the method
-names, and the lockstep traces must match its error curve and final
-estimate to 1e-10 and its kept counts and multiply ledger exactly.
+Each replicate is replayed here datum by datum through the plain-loop
+oracle of its method in ``oracles``: LMS with the gate and clip written
+out, RLS re-inverting its step matrix densely, and the censored-MLE
+recursions with beta and h from ``evaluate``.  The lockstep traces must
+match the oracle's error curve and final estimate to 1e-10 and its kept
+counts and multiply ledger exactly.  The scalar estimator classes, the
+one-replicate case of the same kernel, are replayed against the same
+oracles.
 """
 
 import math
@@ -14,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cendre import harness
+from cendre import estimators, harness
 from cendre.censor import ThresholdPlan, nac_decide
 from cendre.datagen import StreamSpec, materialize
 from cendre.errors import DomainError, SingularityError
@@ -24,19 +28,14 @@ from cendre.harness import ExperimentConfig, geometric_schedule, monte_carlo, ru
 from cendre.ingest import load_csv, surrogate_truth
 from cendre.numkit import derive, substream
 
+from oracles import CensoredMLEOracle, LMSOracle, RLSOracle
+
 R = 3
 TOL = 1e-10
 
 
 def _scalar_estimator(cfg, p, sigma, prelim):
-    method, censor = cfg.method, cfg.censor or {}
-    kind = censor.get("kind")
-    plan = None
-    if kind == "ac-online":
-        plan = ThresholdPlan.ac_online(censor["target_pi"])
-    elif kind == "ac-offline":
-        plan = ThresholdPlan.ac_offline(p, censor["target_pi"])
-    mu = cfg.mu
+    method, plan, mu = cfg.method, _plan_of(cfg, p), cfg.mu
     if method == "samle1":
         return FirstOrderCensoredMLE(prelim, sigma, mu or StepSize.diminishing(sigma * sigma))
     if method == "samle2":
@@ -63,14 +62,40 @@ def _nac_plan(cfg, prelim):
     return ThresholdPlan.nac_clt(prelim.theta.size, prelim.K, censor["target_pi"])
 
 
-def scalar_trial(cfg, X, y, theta_o, sigma):
-    """Replay one replicate datum by datum; return its trace as a dict."""
+def _plan_of(cfg, p):
+    """The AC threshold plan of a config, or None."""
+    kind = (cfg.censor or {}).get("kind")
+    if kind == "ac-online":
+        return ThresholdPlan.ac_online(cfg.censor["target_pi"])
+    if kind == "ac-offline":
+        return ThresholdPlan.ac_offline(p, cfg.censor["target_pi"])
+    return None
+
+
+def _oracle(cfg, p, sigma, prelim):
+    method, plan = cfg.method, _plan_of(cfg, p)
+    if method == "samle1":
+        return CensoredMLEOracle(prelim, sigma, cfg.mu or StepSize.diminishing(sigma * sigma))
+    if method == "samle2":
+        return CensoredMLEOracle(prelim, sigma)
+    if method == "lms":
+        return LMSOracle(p, cfg.mu)
+    if method == "rls":
+        return RLSOracle(p, epsilon=cfg.epsilon)
+    if method in ("ac-lms", "rac-lms"):
+        return LMSOracle(p, cfg.mu, sigma, plan=plan, tau_out=cfg.tau_out)
+    return RLSOracle(p, sigma, plan=plan, tau_out=cfg.tau_out, epsilon=cfg.epsilon)
+
+
+def replay(cfg, X, y, theta_o, sigma, make):
+    """Replay one replicate datum by datum through make(cfg, p, sigma,
+    prelim), an estimator class or oracle; return its trace as a dict."""
     p = X.shape[1]
     prelim = None
     if cfg.method in ("samle1", "samle2"):
         prelim = preliminary_fit(zip(y[:cfg.K], X[:cfg.K]))
         X, y = X[cfg.K:], y[cfg.K:]
-    est = _scalar_estimator(cfg, p, sigma, prelim)
+    est = make(cfg, p, sigma, prelim)
     nac_plan = _nac_plan(cfg, prelim) if prelim is not None else None
     fixed = cfg.censor["tau"] if cfg.censor and cfg.censor["kind"] == "constant" else None
     N = len(y)
@@ -97,6 +122,11 @@ def scalar_trial(cfg, X, y, theta_o, sigma):
     out["kept"] = est.kept_count
     out["theta"] = est.theta.copy()
     return out
+
+
+def scalar_trial(cfg, X, y, theta_o, sigma):
+    """Replay one replicate through its method's oracle."""
+    return replay(cfg, X, y, theta_o, sigma, _oracle)
 
 
 def assert_matches(trace, want):
@@ -162,6 +192,22 @@ def test_lockstep_matches_scalar_classes(case):
         alone = run_trial(cfg, seed)
         for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
             np.testing.assert_array_equal(getattr(alone, field), getattr(trace, field))
+
+
+@pytest.mark.parametrize("case", CASES + PANELS, ids=[_ids(c) for c in CASES + PANELS])
+def test_scalar_classes_match_oracles(case):
+    # The single-stream classes step one datum at a time through the
+    # kernel's per-datum code, not its rounds.
+    cfg = _stream_cfg(*case)
+    spec = cfg.stream.pinned()
+    for r in range(R):
+        X, y = materialize(spec.with_seed(derive(cfg.seed, r)))
+        got = replay(cfg, X, y, spec.theta, spec.sigma, _scalar_estimator)
+        want = scalar_trial(cfg, X, y, spec.theta, spec.sigma)
+        for key in ("n", "ratio", "mult", "kept"):
+            assert got[key] == want[key]
+        np.testing.assert_allclose(got["mse"], want["mse"], rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(got["theta"], want["theta"], rtol=TOL, atol=TOL)
 
 
 @pytest.mark.parametrize("method", ["ac-rls", "rls", "samle2", "rac-lms"])
@@ -353,7 +399,7 @@ def test_lockstep_rounds_follow_the_kept_count(monkeypatch, case):
     spec = cfg.stream.pinned()
     runs = []
 
-    class Recorded(harness._Lockstep):
+    class Recorded(estimators._Lockstep):
         def traces(self, *args):
             runs.append(self)
             return super().traces(*args)
@@ -441,3 +487,26 @@ def test_rac_rls_ac_online_tracks_its_target():
                      for method, over in (("rac-rls", {"tau_out": 3.0}), ("ac-rls", {})))
     assert abs(robust.censor_ratio[-1] - 0.6) <= 0.1
     assert robust.mse[-1] <= 10.0 * plain.mse[-1]
+
+
+@pytest.mark.parametrize("method, R, D", [("rls", 50, 20_000), ("rls", 1, 20_000),
+                                          ("rac-rls", 20, 10_000), ("samle2", 20, 5_000)])
+def test_step_matrix_stays_symmetric_positive_definite(monkeypatch, method, R, D):
+    # rls with R = 50 and D = 20,000 is 10^6 replicate steps of the
+    # Sherman-Morrison update; R = 1 runs the lone-replicate loop.
+    runs = []
+
+    class Recorded(estimators._Lockstep):
+        def traces(self, *args):
+            runs.append(self)
+            return super().traces(*args)
+
+    monkeypatch.setattr(harness, "_Lockstep", Recorded)
+    stream = StreamSpec(p=8, D=D, sigma=1.0, seed=17, outlier_prob=0.05, outlier_var=25.0)
+    over = {"rac-rls": {"tau_out": 3.0, "censor": {"kind": "ac-offline", "target_pi": 0.7}},
+            "samle2": {"K": 40, "censor": {"kind": "constant", "tau": 1.0}}}.get(method, {})
+    monte_carlo(ExperimentConfig(method=method, seed=23, replicates=R, stream=stream, **over))
+    (run,) = runs
+    for P in run.P:
+        np.linalg.cholesky(P)
+        assert np.abs(P - P.T).max() / np.abs(P).max() < 1e-8
