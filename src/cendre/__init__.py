@@ -18,9 +18,8 @@ from .estimators import (LMS, RLS, FirstOrderCensoredMLE, PreliminaryFit,
                          SecondOrderCensoredMLE, StepSize, batch_lse,
                          from_snapshot, kaczmarz_run, preliminary_fit, regret)
 from .harness import (ExperimentConfig, MonteCarloResult, TrialTrace,
-                      geometric_schedule, monte_carlo, prop_bounds,
-                      run_experiment, run_trial, write_results_csv,
-                      write_summary_json)
+                      geometric_schedule, monte_carlo, prop_bounds, run_trial,
+                      write_results_csv, write_summary_json)
 from .ingest import (Dataset, load_csv, sidecar_path, surrogate_truth, write_csv,
                      write_sidecar)
 from .likelihood import CensoredTerm, ScoreInfo, evaluate, loss, score_info
@@ -58,5 +57,5 @@ __all__ = [
     # harness
     "ExperimentConfig", "TrialTrace", "MonteCarloResult", "run_trial",
     "monte_carlo", "prop_bounds", "geometric_schedule", "write_results_csv",
-    "write_summary_json", "run_experiment",
+    "write_summary_json",
 ]

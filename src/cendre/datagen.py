@@ -80,6 +80,8 @@ class StreamSpec:
             raise DomainError("p and D must be positive")
         if self.sigma < 0.0:
             raise DomainError("sigma must be nonnegative")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.design not in ("gaussian", "student-t"):
             raise DomainError(f"unknown design {self.design!r}")
         if self.design == "student-t":

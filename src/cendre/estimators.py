@@ -23,10 +23,10 @@ walks the stochastic gradient, and ``SecondOrderCensoredMLE`` scales it
 by the inverse of the accumulated per-datum information.
 
 The gate, the clip, both recursions and the multiply ledger are written
-once, in ``_Lockstep``: the R replicates of one streaming method advanced
-as one state, which ``cendre.harness`` drives panel by panel.  Each
-estimator class holds a one-replicate ``_Lockstep`` and sends each datum
-through its per-datum code.
+once, in ``_Lockstep``: R replicates of one method as one state, stepped a
+panel at a time on every datum (open gate, NAC) or on kept data (AC).
+Each estimator class holds a one-replicate ``_Lockstep`` and sends each
+datum through its per-datum code.
 
 Second-order recursions never re-invert.  They carry the unnormalized
 inverse P_n = (P_0^{-1} + sum_i h_i x_i x_i')^{-1}, updated by one
@@ -211,13 +211,13 @@ class _Lockstep:
     rank-one entry is computed the same way for one row as for many, so a
     replicate's trace does not depend on its company.
 
-    A panel advances in one of three ways.  Every replicate on every
-    datum: NAC decisions (``nac_panel``), and lms and rls, which keep
-    every datum, with R > 1.  Desynchronized rounds: on the gated AC path
-    each replicate jumps to its own next kept datum (``ac_panel``).  One
-    lone replicate: with R = 1, or once the others reach the panel's end,
-    ``_lone`` runs the same rounds on slices of one row.  Marks record the
-    error, kept and clipped counts, and multiply ledgers are exact.
+    A panel advances by one of two loops.  ``every_panel`` steps every
+    replicate on every datum (lms, rls, samle1, samle2), in one batch, or
+    by the one-row update when R = 1.  ``ac_panel`` steps the gated AC
+    methods in desynchronized rounds, each replicate jumping to its own
+    next kept datum; once one is left (R = 1, or the others at the panel's
+    end), ``_lone`` runs the same rounds on slices of its row.  Marks
+    record the error, kept and clipped counts; multiply ledgers are exact.
 
     An estimator class holds one replicate, with no marks, and steps it a
     datum at a time through the same gate, clip and update; without marks
@@ -234,7 +234,6 @@ class _Lockstep:
             self._take_P(P)
         self.mu, self.plan, self.tau_out, self.epsilon = mu, plan, tau_out, epsilon
         self.online = plan is not None and plan.needs_quadratic_form
-        self.gated = method not in ("lms", "rls")
         self.kept = np.zeros(R, dtype=np.int64)
         self.clipped = np.zeros(R, dtype=np.int64)
         self.n = self.rounds = self._kept_sum = 0  # steps before the panel; kept by all
@@ -249,6 +248,15 @@ class _Lockstep:
         Fortran-order view, which BLAS updates in place."""
         self.P = np.array(P, dtype=np.float64, order="C")
         self.P_fortran = list(self.P.transpose(0, 2, 1))
+
+    def _fix_ridge(self, x) -> None:
+        """Fix an RLS's ridge prior P = I/eps at its first regressors x (R, p),
+        eps ``epsilon`` (one, or one per replicate) or default_ridge's."""
+        if self.P is None and self.mu is None:
+            if self.epsilon is None:
+                self.epsilon = default_ridge(x, self.plan, self.tau_out)
+            eps = np.broadcast_to(self.epsilon, (len(x),))
+            self._take_P(np.eye(x.shape[1]) / eps[:, None, None])
 
     # -- the recursion ----------------------------------------------------
 
@@ -335,75 +343,76 @@ class _Lockstep:
 
     # -- the gates ----------------------------------------------------------
 
-    def nac_panel(self, Y, y_hat, tau, X) -> None:
-        """Step every replicate through a panel censored against fixed
-        predictions y_hat (m, R) with thresholds tau: a kept datum is its
-        y, a censored one the interval around its y_hat."""
-        sigma = self.sigma
-        keep = self._hits(Y - y_hat, tau * sigma)[0]
-        censored, value = ~keep, np.where(keep, Y, y_hat)
+    def every_panel(self, Y, X, y_hat=None, tau=None) -> None:
+        """Step every replicate on every datum of a panel: on its innovation
+        with the gate open, or, given fixed predictions y_hat (m, R) and
+        thresholds tau, on its NAC term, a kept datum's y or the interval
+        around a censored one's y_hat.  R = 1 takes the one-row update."""
+        self._fix_ridge(X[0])
+        keep = np.ones(Y.shape, dtype=bool)
+        if y_hat is not None:
+            keep = self._hits(Y - y_hat, tau * self.sigma)[0]
+            censored, value = ~keep, np.where(keep, Y, y_hat)
+        kept = self.kept + np.cumsum(keep, axis=0)  # each replicate's count after each datum
+        every, lone = np.arange(Y.shape[1]), Y.shape[1] == 1
         for i in range(len(X)):
             x = X[i]
-            beta, h = score_info(censored[i], value[i], np.einsum("rp,rp->r", x, self.theta),
-                                 tau[i], sigma)
+            fit = np.einsum("rp,rp->r", x, self.theta)
+            if y_hat is None:
+                beta, h = Y[i] - fit, None
+            else:
+                beta, h = score_info(censored[i], value[i], fit, tau[i], self.sigma)
             self.n += 1
-            self.update(None, x, beta, h, self.n)
-            self.kept += keep[i]
+            if lone:
+                self.update(0, x[0], beta[0], None if h is None else h[0], self.n)
+            else:
+                self.update(None, x, beta, h, self.n)
             if self.n >= self._soonest:
-                self._record(np.arange(len(x)), self.n)
+                self.kept[:] = kept[i]
+                self._record(every, self.n)
+        self.kept[:] = kept[-1]
 
     def ac_panel(self, Y, X) -> None:
         """Step each replicate through a panel to its own kept data, in rounds."""
         m, R = Y.shape
-        if self.P is None and self.mu is None:
-            eps = self.epsilon
-            eps = default_ridge(X[0], self.plan, self.tau_out) if eps is None else eps
-            self._take_P(np.eye(X.shape[2]) / np.broadcast_to(eps, (R,))[:, None, None])
+        self._fix_ridge(X[0])
         panel_tau = None
-        if self.plan is not None and not self.online:  # tau depends on n alone
+        if not self.online:  # tau depends on n alone
             panel_tau = self._under_clip(self.plan.thresholds(self.n + 1, self.n + 1 + m))
         ahead = np.arange(m)[:, None]
         act, a, front = np.arange(R), np.zeros(R, dtype=np.int64), 0  # active, positions, lead
         while act.size > 1:
-            if self.gated:
-                B = self._window(self.n + front, R)
-                n, rs = self.n + a, act if act.size < R else slice(None)
-                lim = B if front + B <= m else np.minimum(m - a, B)
-                at = np.minimum(a + ahead[:B], m - 1)
-                Xw, Yw = X[at, act], Y[at, act]
-            else:  # every replicate keeps every datum: one shared position
-                n, rs, B = self.n + front, slice(None), 1
-                Xw, Yw = X[front:front + 1], Y[front:front + 1]
+            B = self._window(self.n + front, R)
+            n, rs = self.n + a, act if act.size < R else slice(None)
+            lim = B if front + B <= m else np.minimum(m - a, B)
+            at = np.minimum(a + ahead[:B], m - 1)
+            Xw, Yw = X[at, act], Y[at, act]
             E = Yw - np.einsum("brp,rp->br", Xw, self.theta[rs])
             watch = self._soonest <= self.n + front + B  # a mark may fall in this round
-            if self.gated:
-                tau = self._online_tau(Xw, rs, n) if self.online else panel_tau[at]
-                hit, bad = self._hits(E, tau * self.sigma)
-                if lim is not B:
-                    hit &= ahead[:B] < lim
-                got = hit.any(axis=0)
-                j = np.where(got, hit.argmax(axis=0), lim)
-                if watch:  # marks inside a jump see the theta before its step
-                    self._record(act, n + j)
-                cols = got.nonzero()[0]
-                k, rows = (j[cols], cols), act[cols]
-                a += j + got
-                step, front = self.n + a[cols], int(a.max())
-            else:
-                k, rows, step = 0, None, n + 1
-                front += 1
-            if rows is None or rows.size:
-                beta, x, h = E[k], Xw[k], None
+            tau = self._online_tau(Xw, rs, n) if self.online else panel_tau[at]
+            hit, bad = self._hits(E, tau * self.sigma)
+            if lim is not B:
+                hit &= ahead[:B] < lim
+            got = hit.any(axis=0)
+            j = np.where(got, hit.argmax(axis=0), lim)
+            if watch:  # marks inside a jump see the theta before its step
+                self._record(act, n + j)
+            cols = got.nonzero()[0]
+            k, rows = (j[cols], cols), act[cols]
+            a += j + got
+            step, front = self.n + a[cols], int(a.max())
+            if rows.size:
+                beta, h = E[k], None
                 if self.tau_out is not None:
                     beta, h = self._clip(rows, beta, tau[k], bad)
-                self.kept[rs if rows is None else rows] += 1
+                self.kept[rows] += 1
                 self._kept_sum += beta.size
                 self.rounds += 1
-                self.update(rows, x, beta, h, step)
+                self.update(rows, Xw[k], beta, h, step)
                 if watch:
-                    self._record(act if rows is None else rows, step)
+                    self._record(rows, step)
             if front >= m:  # drop the replicates at the panel's end
-                act, a = (act[a < m], a[a < m]) if self.gated else (act[:0], a)
+                act, a = act[a < m], a[a < m]
                 front = int(a.max()) if act.size else 0
         if act.size:
             self._lone(int(act[0]), front, Y, X, panel_tau)
@@ -418,23 +427,21 @@ class _Lockstep:
         cut = None if panel_tau is None else panel_tau * sigma
         while a < m:
             n = self.n + a
-            B = min(self._window(n, R), m - a) if self.gated else 1
+            B = min(self._window(n, R), m - a)
             Xw = X[a:a + B, rs]
             E = (Y[a:a + B, rs] - np.einsum("brp,rp->br", Xw, self.theta[rs]))[:, 0]
             watch = self._soonest <= n + B  # a mark may fall in this round
-            j, got, bad = 0, True, False
-            if self.gated:
-                if self.online:
-                    tau = self._online_tau(Xw, rs, n)[:, 0]
-                    hit, bad = self._hits(E, tau * sigma)
-                else:
-                    tau = panel_tau[a:a + B]
-                    hit, bad = self._hits(E, cut[a:a + B])
-                j = int(hit.argmax())
-                got = bool(hit[j])
-                j = j if got else B
-                if watch:  # marks inside a jump see the theta before its step
-                    self._record(act, n + j)
+            if self.online:
+                tau = self._online_tau(Xw, rs, n)[:, 0]
+                hit, bad = self._hits(E, tau * sigma)
+            else:
+                tau = panel_tau[a:a + B]
+                hit, bad = self._hits(E, cut[a:a + B])
+            j = int(hit.argmax())
+            got = bool(hit[j])
+            j = j if got else B
+            if watch:  # marks inside a jump see the theta before its step
+                self._record(act, n + j)
             a += j + got
             if not got:
                 continue
@@ -566,10 +573,10 @@ class _Gate:
         x = np.asarray(x, dtype=np.float64)
         k = self._k
         if k.P is None and k.mu is None:  # RLS fixes its ridge at the first datum
-            if self.epsilon is None:
-                self.epsilon = float(default_ridge(x, k.plan, k.tau_out))
-            k._take_P(np.eye(x.size)[None] / self.epsilon)
-        n, planned, Px = self.n + 1, k.gated and tau is None, None
+            k.epsilon = self.epsilon
+            k._fix_ridge(x[None])
+            self.epsilon = float(np.ravel(k.epsilon)[0])
+        n, planned, Px = self.n + 1, k.sigma is not None and tau is None, None
         if planned:
             if k.plan is None:
                 raise ConfigError("no tau given and no threshold plan configured")
@@ -586,7 +593,7 @@ class _Gate:
         self.n = n
         self.multiply_count += every
         e, bad = float(y) - float(x @ k.theta_rows[0]), False
-        if k.gated:
+        if k.sigma is not None:
             if k.tau_out is not None and not planned:
                 robust_decide(e, k.sigma, tau, k.tau_out)
             hit, bad = k._hits(e, tau * k.sigma)

@@ -5,10 +5,10 @@ censoring rule into an estimator, records error and cost metrics on a
 compact schedule, repeats over derived replicate seeds, and aggregates.
 The replicates of a streaming method advance in lockstep, as one state
 of the kernel ``cendre.estimators._Lockstep``, whose one-replicate case
-the single-stream estimator classes run.  This module resolves a
-config into the kernel's step size, threshold plan and warm-up fits,
-takes the NAC decisions against those fits, and feeds the kernel panels
-of the stream.
+the single-stream estimator classes run.  This module resolves a config
+into the kernel's step size, threshold plan and warm-up fits, takes the
+NAC decisions against those fits, and feeds the stream a panel at a time
+to the kernel's AC rounds or, for the other methods, its every-datum loop.
 
 Everything is reproducible: replicate r of a config with seed s runs
 on child seed derive(s, r), the true coefficients are resolved once
@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "result_rows",
     "write_results_csv",
     "write_summary_json",
-    "run_experiment",
 ]
 
 NAC_METHODS = ("samle1", "samle2")
@@ -424,13 +423,11 @@ def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
                     plan=_plan(cfg, p) if method in AC_METHODS else None,
                     tau_out=cfg.tau_out if method in ("rac-lms", "rac-rls") else None,
                     epsilon=cfg.epsilon, marks=marks, theta_o=theta_o)
+    step = run.ac_panel if method in AC_METHODS else run.every_panel
     if prelims:
-        plans = [_plan(cfg, p, f) for f in prelims]
-        for Y, X in panels:
-            _nac_panel(run, theta, plans, Y, X)
-    else:
-        for Y, X in panels:
-            run.ac_panel(Y, X)
+        step = partial(_nac_panel, run, theta, [_plan(cfg, p, f) for f in prelims])
+    for Y, X in panels:
+        step(Y, X)
     mse, ratios, mults = run.traces()
     return [_trace(cfg, seed, marks, mse[:, r], ratios[:, r], mults[:, r], theta_o,
                    run.kept[r], run.theta[r])
@@ -447,7 +444,7 @@ def _nac_panel(run: _Lockstep, anchors, plans, Y, X) -> None:
     if bad.any():
         i, r = np.argwhere(bad)[0]
         nac_decide(float(Y[i, r]), float(y_hat[i, r]), sigma, float(tau[i, r]))
-    run.nac_panel(Y, y_hat, tau, X)
+    run.every_panel(Y, X, y_hat, tau)
 
 
 def _warm_up(panels, K: int, R: int):
@@ -468,7 +465,8 @@ def _warm_up(panels, K: int, R: int):
         except SingularityError as exc:
             raise SingularityError(f"preliminary fit on the first K={K} data "
                                    f"is rank deficient") from exc
-    return itertools.chain([(Y[take:], X[take:])], panels), prelims
+    rest = [(Y[take:], X[take:])] if take < len(Y) else []  # the loops read a first row
+    return itertools.chain(rest, panels), prelims
 
 
 def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
@@ -707,12 +705,3 @@ def write_results_csv(traces, path) -> Path:
 def write_summary_json(result: MonteCarloResult, path) -> Path:
     return _write_json(result.summary_doc(), path)
 
-
-def run_experiment(cfg: ExperimentConfig, out_dir, stem: str = "results") -> dict:
-    """monte_carlo plus the standard pair of output files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = monte_carlo(cfg)
-    csv_path = write_results_csv(result.traces, out_dir / f"{stem}.csv")
-    json_path = write_summary_json(result, out_dir / f"{stem}.json")
-    return {"result": result, "csv": csv_path, "json": json_path}

@@ -100,6 +100,10 @@ def test_gen_bad_flags(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["gen", "--p", "2", "--D", "9", "--sigma", "1.0", "--seed", "1",
                  "--outliers", "0.1", "--out", str(tmp_path)]) == 2
+    assert main(["gen", "--p", "2", "--D", "9", "--sigma", "1.0", "--seed", "-5",
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: invalid 'stream' section: seed must be nonnegative" \
+        in capsys.readouterr().err
 
 
 def test_seed_precedence(tmp_path, monkeypatch, capsys):
@@ -115,6 +119,9 @@ def test_seed_precedence(tmp_path, monkeypatch, capsys):
     assert truth["seed"] == 44
     monkeypatch.setenv("CENDRE_SEED", "not-a-number")
     assert main(args) == 2
+    monkeypatch.setenv("CENDRE_SEED", "-2")
+    assert main(args) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------
@@ -193,6 +200,11 @@ def test_run_config_errors(tmp_path, capsys):
     cfg = _run_config(tmp_path, doc, "nocensor.json")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "censor" in capsys.readouterr().err
+
+    stream = {"p": 3, "D": 128, "sigma": 1.0, "seed": -4}
+    cfg = _run_config(tmp_path, _basic_doc(stream=stream), "seed.json")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "invalid 'stream' section: seed must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, field", [

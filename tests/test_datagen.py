@@ -57,7 +57,8 @@ def test_spec_validation():
                 dict(ok, design="laplace"), dict(ok, design="student-t"),
                 dict(ok, design="student-t", df=0.5),
                 dict(ok, cov=np.eye(2)), dict(ok, theta=np.ones(4)),
-                dict(ok, outlier_prob=1.5), dict(ok, outlier_var=-1.0)):
+                dict(ok, outlier_prob=1.5), dict(ok, outlier_var=-1.0),
+                dict(ok, seed=-1)):
         with pytest.raises(DomainError):
             StreamSpec(**bad)
 

@@ -16,7 +16,6 @@ from cendre.harness import (
     geometric_schedule,
     monte_carlo,
     prop_bounds,
-    run_experiment,
     run_trial,
     write_results_csv,
     write_summary_json,
@@ -498,8 +497,3 @@ def test_summary_json_stable(tmp_path):
     doc = json.loads(a.read_text())
     assert doc["config"]["method"] == "ac-rls"
 
-
-def test_run_experiment_files(tmp_path):
-    out = run_experiment(_cfg(replicates=2), tmp_path / "exp")
-    assert out["csv"].exists() and out["json"].exists()
-    assert out["result"].method == "ac-rls"

@@ -166,10 +166,12 @@ CASES = [
 ]
 
 
-# Three panels.  The last replicate of a panel steps alone to its end (in
-# the first panel, from datum 515 on, clipping outliers), and the next panel
-# starts all three in company again.
-PANELS = [("rac-rls", {"kind": "ac-offline", "target_pi": 0.9}, 2500)]
+# Across panel ends.  rac-rls: the last replicate of a panel steps alone to
+# its end (in the first panel, from datum 515 on, clipping outliers), and the
+# next panel starts all three in company again.  lms, rls and samle2 step
+# every replicate on every datum through two or three panels.
+PANELS = [("rac-rls", {"kind": "ac-offline", "target_pi": 0.9}, 2500),
+          ("lms", None, 2500), ("rls", None, 2500), ("samle2", _CONSTANT, 1500)]
 
 
 def _ids(case):
@@ -208,6 +210,17 @@ def test_scalar_classes_match_oracles(case):
             assert got[key] == want[key]
         np.testing.assert_allclose(got["mse"], want["mse"], rtol=TOL, atol=TOL)
         np.testing.assert_allclose(got["theta"], want["theta"], rtol=TOL, atol=TOL)
+
+
+@pytest.mark.parametrize("method", ["samle1", "samle2"])
+def test_warm_up_filling_a_panel(method):
+    # K fills the first panel exactly, so the NAC steps start on the next.
+    cfg = _stream_cfg(method, _CONSTANT, D=estimators._PANEL + 76, K=estimators._PANEL)
+    res = monte_carlo(cfg)
+    spec = cfg.stream.pinned()
+    for r, trace in enumerate(res.traces):
+        X, y = materialize(spec.with_seed(derive(cfg.seed, r)))
+        assert_matches(trace, scalar_trial(cfg, X, y, spec.theta, spec.sigma))
 
 
 @pytest.mark.parametrize("method", ["ac-rls", "rls", "samle2", "rac-lms"])
@@ -328,16 +341,18 @@ def test_lockstep_non_finite_input_behaves_as_scalar(case, bad):
 
 
 GATED_RLS = [c for c in CASES if c[0] in ("ac-rls", "rac-rls")]
+APART = GATED_RLS + [("lms", None), ("rls", None), ("samle2", _CONSTANT)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("where", ["x", "y"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("case", GATED_RLS, ids=[_ids(c) for c in GATED_RLS])
+@pytest.mark.parametrize("case", APART, ids=[_ids(c) for c in APART])
 def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where):
     # Replicate 1 of 3 gets one non-finite datum.  The kept-row kernel
     # computes Px from every row's x, so a write to a row that does not
-    # step would carry the NaN into the other replicates.
+    # step would carry the NaN into the other replicates; the every-datum
+    # loop steps all rows at once.
     cfg = _stream_cfg(*case)
     spec = cfg.stream.pinned()
     seeds = [derive(cfg.seed, r) for r in range(R)]
@@ -367,7 +382,8 @@ def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where
         want = scalar_trial(cfg, X, y, spec.theta, spec.sigma)
     except DomainError as exc:
         # With tau_out the robust rule raises on the damaged innovation,
-        # and that ends the whole run, with the replicate's own tau.
+        # and NAC censoring on the damaged datum, and that ends the whole
+        # run, with the replicate's own values.
         with pytest.raises(DomainError, match=re.escape(str(exc))):
             monte_carlo(cfg)
         return
@@ -383,20 +399,9 @@ def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where
             np.testing.assert_array_equal(getattr(alone, field), getattr(res.traces[r], field))
 
 
-def _kept_flags(cfg, X, y, spec):
-    """Per datum, whether the scalar class keeps it."""
-    est = _scalar_estimator(cfg, X.shape[1], spec.sigma, None)
-    fixed = cfg.censor["tau"] if cfg.censor["kind"] == "constant" else None
-    return np.array([est.step(float(y_n), x, fixed)[1].kept for x, y_n in zip(X, y)])
-
-
-@pytest.mark.parametrize("case", GATED_RLS, ids=[_ids(c) for c in GATED_RLS])
-def test_lockstep_rounds_follow_the_kept_count(monkeypatch, case):
-    # Each replicate jumps to its own next kept datum, so a round is not a
-    # datum that some replicate keeps: there are fewer rounds than such
-    # data, and no fewer than the kept count of the busiest replicate.
-    cfg = _stream_cfg(*case)
-    spec = cfg.stream.pinned()
+@pytest.fixture
+def recorded(monkeypatch):
+    """The kernels the harness builds, each appended once its traces are read."""
     runs = []
 
     class Recorded(estimators._Lockstep):
@@ -405,8 +410,25 @@ def test_lockstep_rounds_follow_the_kept_count(monkeypatch, case):
             return super().traces(*args)
 
     monkeypatch.setattr(harness, "_Lockstep", Recorded)
+    return runs
+
+
+def _kept_flags(cfg, X, y, spec):
+    """Per datum, whether the scalar class keeps it."""
+    est = _scalar_estimator(cfg, X.shape[1], spec.sigma, None)
+    fixed = cfg.censor["tau"] if cfg.censor["kind"] == "constant" else None
+    return np.array([est.step(float(y_n), x, fixed)[1].kept for x, y_n in zip(X, y)])
+
+
+@pytest.mark.parametrize("case", GATED_RLS, ids=[_ids(c) for c in GATED_RLS])
+def test_lockstep_rounds_follow_the_kept_count(recorded, case):
+    # Each replicate jumps to its own next kept datum, so a round is not a
+    # datum that some replicate keeps: there are fewer rounds than such
+    # data, and no fewer than the kept count of the busiest replicate.
+    cfg = _stream_cfg(*case)
+    spec = cfg.stream.pinned()
     res = monte_carlo(cfg)
-    (run,) = runs
+    (run,) = recorded
     kept = np.array([_kept_flags(cfg, *materialize(spec.with_seed(derive(cfg.seed, r))), spec)
                      for r in range(R)])
     np.testing.assert_array_equal(kept.sum(axis=1), [t.kept_total for t in res.traces])
@@ -491,22 +513,14 @@ def test_rac_rls_ac_online_tracks_its_target():
 
 @pytest.mark.parametrize("method, R, D", [("rls", 50, 20_000), ("rls", 1, 20_000),
                                           ("rac-rls", 20, 10_000), ("samle2", 20, 5_000)])
-def test_step_matrix_stays_symmetric_positive_definite(monkeypatch, method, R, D):
+def test_step_matrix_stays_symmetric_positive_definite(recorded, method, R, D):
     # rls with R = 50 and D = 20,000 is 10^6 replicate steps of the
-    # Sherman-Morrison update; R = 1 runs the lone-replicate loop.
-    runs = []
-
-    class Recorded(estimators._Lockstep):
-        def traces(self, *args):
-            runs.append(self)
-            return super().traces(*args)
-
-    monkeypatch.setattr(harness, "_Lockstep", Recorded)
+    # Sherman-Morrison update; R = 1 takes the one-row update of a lone replicate.
     stream = StreamSpec(p=8, D=D, sigma=1.0, seed=17, outlier_prob=0.05, outlier_var=25.0)
     over = {"rac-rls": {"tau_out": 3.0, "censor": {"kind": "ac-offline", "target_pi": 0.7}},
             "samle2": {"K": 40, "censor": {"kind": "constant", "tau": 1.0}}}.get(method, {})
     monte_carlo(ExperimentConfig(method=method, seed=23, replicates=R, stream=stream, **over))
-    (run,) = runs
+    (run,) = recorded
     for P in run.P:
         np.linalg.cholesky(P)
         assert np.abs(P - P.T).max() / np.abs(P).max() < 1e-8
