@@ -61,7 +61,7 @@ from scipy.linalg.blas import dgemm
 
 from .censor import CensorDecision, ThresholdPlan, robust_decide
 from .errors import ConfigError, DomainError, SingularityError, UsageError
-from .likelihood import CensoredTerm, evaluate, loss, score_info
+from .likelihood import CensoredTerm, evaluate, interval_offsets, loss, score_info
 from .numkit.linalg import cholesky_solve
 from .numkit.rng import substream
 
@@ -294,8 +294,8 @@ class _Lockstep:
                 v = np.matmul(P, xr[:, :, None])[rows, :, 0]
             s = np.einsum("rp,rp->r", x, v)
             denom = 1.0 + (s if h is None else h * s)
-            bad = np.abs(denom) < _SINGULAR_TOL
-            if bad.any():
+            if np.fmin.reduce(np.abs(denom)) < _SINGULAR_TOL:  # fmin: a NaN row is no breakdown
+                bad = np.abs(denom) < _SINGULAR_TOL
                 raise self._breakdown(np.broadcast_to(n, bad.shape)[bad].min())
             k = v * (1.0 / denom)[:, None]  # the updated P times x
             d = beta[:, None] * k
@@ -347,12 +347,16 @@ class _Lockstep:
         """Step every replicate on every datum of a panel: on its innovation
         with the gate open, or, given fixed predictions y_hat (m, R) and
         thresholds tau, on its NAC term, a kept datum's y or the interval
-        around a censored one's y_hat.  R = 1 takes the one-row update."""
+        around a censored one's y_hat.  The interval offsets (-tau, tau)
+        are stacked once for the panel, (2, m, R), and each datum's
+        ``score_info`` reads its (2, R) slice as a view.  R = 1 takes the
+        one-row update."""
         self._fix_ridge(X[0])
         keep = np.ones(Y.shape, dtype=bool)
         if y_hat is not None:
             keep = self._hits(Y - y_hat, tau * self.sigma)[0]
             censored, value = ~keep, np.where(keep, Y, y_hat)
+            offsets = interval_offsets(tau)
         kept = self.kept + np.cumsum(keep, axis=0)  # each replicate's count after each datum
         every, lone = np.arange(Y.shape[1]), Y.shape[1] == 1
         for i in range(len(X)):
@@ -361,7 +365,7 @@ class _Lockstep:
             if y_hat is None:
                 beta, h = Y[i] - fit, None
             else:
-                beta, h = score_info(censored[i], value[i], fit, tau[i], self.sigma)
+                beta, h = score_info(censored[i], value[i], fit, None, self.sigma, offsets[:, i])
             self.n += 1
             if lone:
                 self.update(0, x[0], beta[0], None if h is None else h[0], self.n)

@@ -108,8 +108,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {sorted(ALL_METHODS)}")
-        if self.seed < 0:
-            raise ConfigError("field 'seed' must be nonnegative")
+        _check_seed(self.seed)
         if self.replicates < 1:
             raise ConfigError("field 'replicates' must be >= 1")
         if (self.stream is None) == (self.dataset_path is None):
@@ -194,6 +193,7 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required field {key!r}")
         fields = {key: read_field(read, doc[key], key)
                   for key, read in _TOP_FIELDS.items() if key in doc}
+        _check_seed(fields["seed"])  # before the stream, which takes it as its default
         if doc.get("stream") is not None:
             fields["stream"] = StreamSpec.from_doc(doc["stream"], fields["seed"])
         if doc.get("dataset") is not None:
@@ -237,6 +237,11 @@ def _read_mu(doc) -> StepSize:
         raise ConfigError("field 'estimator.mu' must be {policy, value}")
     config_section(doc, "estimator.mu", ("policy", "value"))
     return StepSize(str(doc["policy"]), read_field(float, doc["value"], "estimator.mu.value"))
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError("field 'seed' must be nonnegative")
 
 
 # A config's top-level and estimator fields: JSON key, also the attribute

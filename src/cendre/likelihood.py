@@ -17,11 +17,16 @@ loss, and for an uncensored datum it is exactly the LMS correction
 
 beta and h come from one array routine, :func:`score_info`, which
 serves many terms at once and, through :func:`evaluate`, one term at a
-time; :func:`loss` is the one formula for the loss.  The tail regime of
-censored terms (interval bounds sharing a sign beyond z ~ 6) switches to
-scaled Mills ratios via erfcx so the beta and h ratios stay finite out
-to arbitrarily distant intervals, approaching the clipping limit
-beta -> z_near/sigma.
+time; :func:`loss` is the one formula for the loss.  score_info stacks
+both interval bounds of every term as one (2, ...) array, |shift| -/+ tau,
+and runs the interval formulas once over all of it, kept terms included;
+np.where then picks the censored entries, so none is gathered or
+scattered.  The offsets (-tau, tau) come from :func:`interval_offsets`,
+once per panel when a caller steps through the rows of one tau panel.
+The tail regime of censored terms (interval bounds sharing a sign beyond
+z ~ 6) switches to scaled Mills ratios via erfcx so the beta and h
+ratios stay finite out to arbitrarily distant intervals, approaching the
+clipping limit beta -> z_near/sigma.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ __all__ = [
     "loss",
     "evaluate",
     "score_info",
+    "interval_offsets",
 ]
 
 _INV_SQRT_2PI = 0.3989422804014327
 _SQRT_2 = 1.4142135623730951
 _SQRT_HALF_PI = 1.2533141373155003  # sqrt(pi/2)
 _TAIL_SWITCH = 6.0
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,56 +96,47 @@ class ScoreInfo:
     info: float
 
 
-def _censored_scalars(shift, tau, sigma):
-    """(beta, h) arrays for censored terms whose prediction sits shift =
-    (x'theta - y_hat)/sigma away from the anchor.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _interval_scalars(resid, offsets, sigma):
+    """(beta, h) of every entry read as a censored term, resid being
+    y_hat - x'theta and offsets the stacked (-tau, tau).
 
-    The interval (z_l, z_u) = (-tau - shift, tau - shift) is mirrored
-    into the right tail, [|shift| - tau, |shift| + tau]; beta is odd
-    under the reflection, h is even.  Central intervals use phi/Q
-    directly.  Once both bounds sit in one tail, everything is rescaled
-    by phi(z_near): the probability becomes a difference of Mills ratios
-    and the ratios stay well conditioned.
+    The interval (-tau - shift, tau - shift), shift = -resid/sigma, is
+    mirrored into the right tail as z = (z_l, z_u) = a + offsets,
+    a = |shift|: beta is odd under the reflection, h is even.  Both bounds
+    are one (2, ...) array, so exp, erfc and the products z phi(z) each
+    run once over every entry, and the two ratios
+
+        (phi(z_l) - phi(z_u))/P  and  (z_u phi(z_u) - z_l phi(z_l))/P,
+
+    P = Q(z_l) - Q(z_u), once each.  Where both bounds sit beyond z ~ 6
+    in one tail, everything is rescaled by phi(z_l): P becomes a
+    difference of Mills ratios and the ratios stay well conditioned.
+    Entries that are not censored may divide 0 by 0 here, silently; the
+    caller drops them.
     """
-    shift = np.asarray(shift, dtype=np.float64)
-    a = np.abs(shift)
-    z_l = a - tau
-    z_u = a + tau
-    tail = z_l > _TAIL_SWITCH
-    if not tail.any():
-        ratio, curve = _central_ratios(z_l, z_u)
-    else:
+    z = np.abs(resid) / sigma + offsets
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    zphi = z * phi
+    half = 0.5 * special.erfc(z / _SQRT_2)
+    p = half[0] - half[1]
+    ratio = (phi[0] - phi[1]) / p
+    curve = (zphi[1] - zphi[0]) / p
+    tail = z[0] > _TAIL_SWITCH
+    if np.count_nonzero(tail):
         # r = phi(z_u)/phi(z_l) decays like exp(-2*tau*z_l); underflow to
         # zero is harmless and yields the one-sided clipping limits
         # beta -> 1/(sigma*mills(z_l)) ~ z_l/sigma.
+        z_l, z_u = z[0], z[1]
         r = np.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
-        scaled_p = _mills(z_l) - r * _mills(z_u)  # P / phi(z_l)
-        ratio = (1.0 - r) / scaled_p  # (phi(z_l)-phi(z_u))/P
-        curve = (z_u * r - z_l) / scaled_p  # (z_u phi(z_u)-z_l phi(z_l))/P
-        if not tail.all():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                central = _central_ratios(z_l, z_u)
-            ratio = np.where(tail, ratio, central[0])
-            curve = np.where(tail, curve, central[1])
-    beta = np.copysign(ratio, -shift) / sigma
-    info = (ratio * ratio + curve) / (sigma * sigma)
-    return beta, info
+        mills = _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)  # Q(z)/phi(z)
+        scaled_p = mills[0] - r * mills[1]  # P / phi(z_l)
+        ratio = np.where(tail, (1.0 - r) / scaled_p, ratio)
+        curve = np.where(tail, (z_u * r - z_l) / scaled_p, curve)
+    return np.copysign(ratio, resid) / sigma, (ratio * ratio + curve) / (sigma * sigma)
 
 
-def _central_ratios(z_l, z_u):
-    """(phi(z_l)-phi(z_u))/P and (z_u phi(z_u)-z_l phi(z_l))/P, P = Q(z_l)-Q(z_u)."""
-    phi_l = _INV_SQRT_2PI * np.exp(-0.5 * z_l * z_l)
-    phi_u = _INV_SQRT_2PI * np.exp(-0.5 * z_u * z_u)
-    p = 0.5 * special.erfc(z_l / _SQRT_2) - 0.5 * special.erfc(z_u / _SQRT_2)
-    return (phi_l - phi_u) / p, (z_u * phi_u - z_l * phi_l) / p
-
-
-def _mills(z):
-    """Mills ratio Q(z)/phi(z), stable for large positive z."""
-    return _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)
-
-
-def score_info(censored, y_or_anchor, prediction, tau, sigma: float):
+def score_info(censored, y_or_anchor, prediction, tau, sigma: float, offsets=None):
     """beta and h of many terms at once, without the loss.
 
     Censored flags, observed values or anchors, predictions x'theta and
@@ -146,19 +144,30 @@ def score_info(censored, y_or_anchor, prediction, tau, sigma: float):
     is shared.  Returns (beta, h) arrays of that shape.  h = 1/sigma^2
     exactly for uncensored terms and lies in (0, 1/sigma^2] for censored
     ones (an interval never carries more curvature than an observation).
+
+    The interval formulas run over every entry and np.where picks the
+    censored ones, so no entry is gathered or scattered.  `offsets`, the
+    stacked (-tau, tau) of :func:`interval_offsets` (2 by the entries'
+    shape), spares a caller that steps through the rows of one tau panel
+    the stacking per call; tau is then unused.
     """
     censored = np.asarray(censored, dtype=bool)
     inv_var = 1.0 / (sigma * sigma)
     resid = np.asarray(y_or_anchor, dtype=np.float64) - prediction
     beta = resid * inv_var
-    info = np.full_like(beta, inv_var)
-    if censored.any():
+    if not np.count_nonzero(censored):
+        return beta, np.full_like(beta, inv_var)
+    if offsets is None:  # a scalar tau broadcasts over the entries behind the new axis
         tau = np.asarray(tau, dtype=np.float64)
-        tau_c = tau[censored] if tau.ndim else tau
-        # -resid is x'theta - y_hat exactly.
-        beta[censored], info[censored] = _censored_scalars(
-            -resid[censored] / sigma, tau_c, sigma)
-    return beta, info
+        offsets = interval_offsets(tau).reshape((2,) + (tau.shape or (1,) * resid.ndim))
+    beta_c, info_c = _interval_scalars(resid, offsets, sigma)
+    return np.where(censored, beta_c, beta), np.where(censored, info_c, inv_var)
+
+
+def interval_offsets(tau):
+    """(-tau, tau) on a new leading axis of length 2: the offsets that
+    :func:`score_info` adds to |shift| for the two interval bounds."""
+    return np.multiply.outer(_SIGNS, tau)
 
 
 def loss(term: CensoredTerm, theta) -> float:

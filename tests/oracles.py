@@ -13,13 +13,17 @@ beats fast and clever in an oracle.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from cendre.censor import robust_decide
 from cendre.errors import SingularityError
 from cendre.likelihood import CensoredTerm, evaluate
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# The likelihood's float64 constants, for the bitwise reference below.
+INV_SQRT_2PI = 0.3989422804014327
+SQRT_2 = 1.4142135623730951
+SQRT_HALF_PI = 1.2533141373155003  # sqrt(pi/2)
 
 
 def pdf(t):
@@ -94,6 +98,48 @@ def fwht_stagewise(v):
         bottom[...] = diff
         h *= 2
     return v
+
+
+def score_info_gathered(censored, y_or_anchor, prediction, tau, sigma):
+    """beta and h of many likelihood terms, the censored ones gathered.
+
+    The censored entries are gathered, their bounds z_l = |shift| - tau
+    and z_u = |shift| + tau (shift = (x'theta - y_hat)/sigma) evaluated
+    one bound at a time, through phi/Q when central and through erfcx
+    Mills ratios once both sit beyond 6 in one tail, and the results
+    scattered back over the uncensored beta = resid/sigma^2 and
+    h = 1/sigma^2.  Every element sees the operations, in order, of
+    ``cendre.likelihood.score_info``, for a bitwise comparison.
+    """
+    censored = np.asarray(censored, dtype=bool)
+    inv_var = 1.0 / (sigma * sigma)
+    resid = np.asarray(y_or_anchor, dtype=np.float64) - prediction
+    beta = resid * inv_var
+    info = np.full_like(beta, inv_var)
+    if not censored.any():
+        return beta, info
+    tau = np.asarray(tau, dtype=np.float64)
+    tau = tau[censored] if tau.ndim else tau
+    shift = -resid[censored] / sigma
+    z_l = np.abs(shift) - tau
+    z_u = np.abs(shift) + tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_l = INV_SQRT_2PI * np.exp(-0.5 * z_l * z_l)
+        phi_u = INV_SQRT_2PI * np.exp(-0.5 * z_u * z_u)
+        p = 0.5 * special.erfc(z_l / SQRT_2) - 0.5 * special.erfc(z_u / SQRT_2)
+        ratio = (phi_l - phi_u) / p
+        curve = (z_u * phi_u - z_l * phi_l) / p
+        tail = z_l > 6.0
+        if tail.any():
+            r = np.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
+            mills_l = SQRT_HALF_PI * special.erfcx(z_l / SQRT_2)
+            mills_u = SQRT_HALF_PI * special.erfcx(z_u / SQRT_2)
+            scaled_p = mills_l - r * mills_u
+            ratio = np.where(tail, (1.0 - r) / scaled_p, ratio)
+            curve = np.where(tail, (z_u * r - z_l) / scaled_p, curve)
+    beta[censored] = np.copysign(ratio, -shift) / sigma
+    info[censored] = (ratio * ratio + curve) / (sigma * sigma)
+    return beta, info
 
 
 def dense_inverse_update(C, x, w):

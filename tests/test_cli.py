@@ -182,6 +182,24 @@ def test_run_seed_sources_on_bad_documents(tmp_path, monkeypatch, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_run_negative_seed_names_the_seed(tmp_path, monkeypatch, capsys, source):
+    # The stream section takes the top-level seed as its default, so the
+    # top-level field must be checked first for the message to name it.
+    doc = _basic_doc()
+    args = []
+    if source == "flag":
+        args = ["--seed", "-5"]
+    else:
+        del doc["seed"]
+        monkeypatch.setenv("CENDRE_SEED", "-2")
+    cfg = _run_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field 'seed' must be nonnegative" in err
+    assert "stream" not in err
+
+
 def test_run_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -7,6 +7,8 @@ normal variance identity h sigma^2 = 1 - Var(Z | z_l < Z < z_u).
 """
 
 import math
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from cendre.errors import DomainError
-from cendre.likelihood import CensoredTerm, ScoreInfo, evaluate, loss, score_info
+from cendre.likelihood import (CensoredTerm, ScoreInfo, evaluate, interval_offsets, loss,
+                               score_info)
 from cendre.numkit import interval_log_prob
 
 import oracles
@@ -278,6 +281,72 @@ def test_evaluate_is_loss_and_one_element_score_info():
             beta, info = score_info([term.censored], [anchor], [float(x @ theta)], tau, sigma)
             assert si.loss == loss(term, theta)
             assert si.beta == beta[0] and si.info == info[0]
+
+
+def _terms(rng, shape, kind):
+    """Censored flags, anchors and predictions of one shape: central
+    censored terms, tail ones (|shift| - tau > 6, up to 40) or a mix of
+    both with uncensored terms, some of them far out; a tenth of the
+    residuals are +0 or -0."""
+    pred = rng.normal(size=shape) * 3.0
+    shift = rng.uniform(-3.0, 3.0, size=shape)
+    far = rng.uniform(6.0, 40.0, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+    if kind == "tail":
+        shift = far + np.copysign(3.0, far)
+    elif kind == "mixed":
+        shift = np.where(rng.random(shape) < 0.3, far + np.copysign(3.0, far), shift)
+    censored = np.ones(shape, dtype=bool) if kind != "mixed" else rng.random(shape) < 0.6
+    anchor = pred - shift
+    zero = rng.random(shape) < 0.1
+    anchor = np.where(zero, pred, anchor)  # resid = +0
+    neg = zero & (rng.random(shape) < 0.5)
+    anchor, pred = np.where(neg, -0.0, anchor), np.where(neg, 0.0, pred)  # -0 - 0 = -0
+    return censored, anchor, pred
+
+
+@pytest.mark.parametrize("shape", [(1,), (25,), (4, 25)], ids=["1", "25", "4x25"])
+@pytest.mark.parametrize("tau_kind", ["scalar", "per-entry", "zero", "some-zero"])
+@pytest.mark.parametrize("kind", ["central", "tail", "mixed"])
+def test_score_info_matches_gathered_oracle(shape, tau_kind, kind):
+    # The single pass over the stacked bounds gives every entry the bits
+    # of the gather/scatter routine, signed zeros included.
+    rng = np.random.default_rng(zlib.crc32(f"{shape}-{tau_kind}-{kind}".encode()))
+    for _ in range(40):
+        censored, anchor, pred = _terms(rng, shape, kind)
+        sigma = float(rng.uniform(0.3, 3.0))
+        tau = {"scalar": float(rng.uniform(0.05, 3.0)),
+               "per-entry": rng.uniform(0.0, 3.0, size=shape),
+               "zero": 0.0,
+               "some-zero": np.where(rng.random(shape) < 0.5, 0.0,
+                                     rng.uniform(0.0, 3.0, size=shape))}[tau_kind]
+        want = oracles.score_info_gathered(censored, anchor, pred, tau, sigma)
+        got = score_info(censored, anchor, pred, tau, sigma)
+        stacked = score_info(censored, anchor, pred, None, sigma,
+                             interval_offsets(np.broadcast_to(tau, shape)))
+        for w, g, o in zip(want, got, stacked):
+            assert g.shape == o.shape == shape
+            assert g.tobytes() == w.tobytes()
+            assert o.tobytes() == w.tobytes()
+
+
+def test_score_info_no_warning_outside_the_censored_set():
+    # Uncensored entries run through the interval formulas too: at tau = 0
+    # their P = Q(z_l) - Q(z_u) is 0, and far out both Q vanish, so 0/0.
+    # np.where drops them, and they must not warn.
+    rng = np.random.default_rng(117)
+    resid = np.concatenate([rng.normal(size=20), [0.0, -0.0, 50.0, -900.0, 1e200]])
+    censored = np.arange(resid.size) % 3 == 0
+    censored[-5:] = False
+    pred = rng.normal(size=resid.size)
+    per_entry = np.where(censored, rng.uniform(0.5, 2.0, size=resid.size), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (0.0, 1.5, per_entry):
+            beta, info = score_info(censored, pred + resid, pred, tau, 1.3)
+            want = oracles.score_info_gathered(censored, pred + resid, pred, tau, 1.3)
+            assert beta.tobytes() == want[0].tobytes()
+            assert info.tobytes() == want[1].tobytes()
+            assert np.all(info[~censored] == 1.0 / 1.3**2)
 
 
 # ---------------------------------------------------------------------

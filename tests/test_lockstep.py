@@ -13,6 +13,7 @@ oracles.
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from cendre.harness import ExperimentConfig, geometric_schedule, monte_carlo, ru
 from cendre.ingest import load_csv, surrogate_truth
 from cendre.numkit import derive, substream
 
-from oracles import CensoredMLEOracle, LMSOracle, RLSOracle
+from oracles import CensoredMLEOracle, LMSOracle, RLSOracle, score_info_gathered
 
 R = 3
 TOL = 1e-10
@@ -316,6 +317,49 @@ def test_lockstep_breakdown_names_the_step():
         run_trial(cfg, 7, data=(X, y))
     assert str(lockstep.value) == str(scalar.value) == \
         "ac-rls broke down at step 2: update denominator vanished"
+
+
+def test_batched_breakdown_ignores_only_nan_rows():
+    # A NaN denominator (replicate 1) is no breakdown; an exact zero
+    # (replicate 0, P = -I at e_1) is one, whatever the other rows hold.
+    P = np.stack([-np.eye(2), np.full((2, 2), math.nan), np.eye(2)])
+    x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    run = estimators._Lockstep("rls", 3, 2, 1.0, P=P, marks=(10,), theta_o=np.zeros(2))
+    with pytest.raises(SingularityError, match="rls broke down at step 7: update denominator"):
+        run.update(None, x, np.ones(3), None, 7)
+    run = estimators._Lockstep("rls", 2, 2, 1.0, P=P[1:], marks=(10,), theta_o=np.zeros(2))
+    run.update(None, x[1:], np.ones(2), None, 7)
+    assert np.isnan(run.theta[0]).all() and np.isfinite(run.theta[1]).all()
+
+
+def test_nac_loop_matches_gathered_score_without_warnings(monkeypatch):
+    # The NAC loop evaluates the interval formulas on kept data as well; at
+    # tau = 0 their P = Q(z_l) - Q(z_u) is 0.  The loop must not warn, and
+    # must step exactly as with the gather/scatter score_info.
+    rng = np.random.default_rng(41)
+    m, R, p = 80, 4, 3
+    X = rng.normal(size=(m, R, p))
+    y_hat = rng.normal(size=(m, R))
+    Y = y_hat + rng.normal(size=(m, R))
+    tau = np.where(rng.random((m, R)) < 0.4, 0.0, rng.uniform(0.5, 2.0, size=(m, R)))
+    censored = np.abs(Y - y_hat) < tau
+    assert censored.any() and (~censored & (tau > 0.0)).any() and (tau == 0.0).any()
+    theta, P = rng.normal(size=(R, p)), np.stack([np.eye(p)] * R)
+
+    def stepped():
+        run = estimators._Lockstep("samle2", R, p, 1.0, theta, P)
+        run.every_panel(Y, X, y_hat, tau)
+        return run
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = stepped()
+    monkeypatch.setattr(estimators, "score_info", lambda c, y, fit, _, sigma, offsets:
+                        score_info_gathered(c, y, fit, offsets[1], sigma))
+    want = stepped()
+    assert run.theta.tobytes() == want.theta.tobytes()
+    assert run.P.tobytes() == want.P.tobytes()
+    np.testing.assert_array_equal(run.kept, (~censored).sum(axis=0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
