@@ -4,15 +4,22 @@ full-data surrogate ground truth used when no true coefficients exist.
 Loading is deliberately conservative: every preprocessing action
 (dropped column, skipped row, standardization, intercept) is appended
 to the provenance log carried by the Dataset, and the log can be
-written next to the CSV as a JSON sidecar.
+written next to the CSV as a JSON sidecar.  A body that numpy's reader
+parses is also kept next to the CSV as a parsed copy, which later loads
+of the same bytes read instead of parsing the text again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import math
+import os
+import secrets
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +78,81 @@ def _read_numeric(fh, delimiter: str, width: int) -> np.ndarray | None:
     return data
 
 
+# Bump when the parsed copy's layout or the parse it stands for changes,
+# so that copies written before no longer match.
+_PARSED_FORMAT = 1
+
+
+def _parsed_path(csv_path) -> Path:
+    """Where load_csv keeps the parsed copy of a CSV's numeric body."""
+    p = Path(csv_path)
+    return p.with_name(p.name + ".parsed.npz")
+
+
+def _parsed_key(path: Path, delimiter: str, header: bool) -> str:
+    """The parsed copy's key: format version, SHA-256 of the file's bytes
+    (read in blocks, so memory stays flat), delimiter and header flag."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return f"{_PARSED_FORMAT}:{digest.hexdigest()}:{delimiter!r}:{int(header)}"
+
+
+def _load_parsed(cache: Path, key: str, width: int) -> np.ndarray | None:
+    """The body stored under key, or None for a missing, unreadable,
+    corrupt or mismatched copy."""
+    try:
+        # np.load leaves a file it opened itself open when the zip is bad.
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz["key"].item() != key:
+                return None
+            body = npz["body"]
+    except (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
+            zipfile.BadZipFile):
+        # TypeError: a plain .npy array is no NpzFile, so no context manager;
+        # RuntimeError: a member flagged encrypted or of unknown compression.
+        return None
+    if (body.dtype != np.float64 or body.ndim != 2 or body.shape[1] != width
+            or body.size == 0 or not body.flags.c_contiguous):
+        return None
+    return body
+
+
+def _store_parsed(cache: Path, key: str, body: np.ndarray) -> None:
+    """Replace the copy at cache with body under key, in one rename so that
+    no reader sees half a file.  An OSError (read-only directory, full
+    disk) leaves no copy and no temporary file, and is not raised."""
+    tmp = cache.with_name(f"{cache.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:  # a file object: numpy adds no suffix
+            np.savez(fh, key=np.array(key), body=body)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):  # also when open() made no file
+            os.unlink(tmp)
+
+
+def _numeric_body(path: Path, fh, delimiter: str, header: bool, width: int):
+    """_read_numeric's result for the rest of fh, through the parsed copy.
+
+    A regular file whose copy matches its bytes, delimiter and header
+    flag is not parsed; a parsed body is stored for the next load.  A
+    pipe or other special file is only parsed, since hashing it would
+    consume it.
+    """
+    if not path.is_file():
+        return _read_numeric(fh, delimiter, width)
+    key = _parsed_key(path, delimiter, header)
+    cache = _parsed_path(path)
+    data = _load_parsed(cache, key, width)
+    if data is None:
+        data = _read_numeric(fh, delimiter, width)
+        if data is not None:
+            _store_parsed(cache, key, data)
+    return data
+
+
 def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
              drop_non_numeric: bool = False, add_intercept: bool = False,
              skip_bad_rows: bool = False, standardize: bool = False) -> Dataset:
@@ -85,7 +167,15 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     csv.reader and float().  Only that path applies the policies below,
     logs and raises, so both paths give the same arrays, log and errors.
     A file with no feature column left after drops and the intercept
-    raises DomainError.
+    raises DomainError.  The file is read as UTF-8, with or without a
+    byte-order mark.
+
+    The body numpy parses is kept next to the CSV as <name>.parsed.npz,
+    keyed by the SHA-256 of the file's bytes, the delimiter and the
+    header flag; a later load with the same key reads it back instead of
+    parsing, and returns an equal Dataset.  Deleting the copy is always
+    safe, and where it cannot be written the load just parses every
+    time.  The cell-by-cell path neither reads nor writes it.
 
     Parameters
     ----------
@@ -108,11 +198,12 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     """
     path = Path(path)
     log: list[str] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = next(filter(None, csv.reader(fh, delimiter=delimiter)), None)
         if not header:
             fh.seek(0)
-        data = None if first is None else _read_numeric(fh, delimiter, len(first))
+        data = (None if first is None
+                else _numeric_body(path, fh, delimiter, header, len(first)))
         if data is None:
             fh.seek(0)
             rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]

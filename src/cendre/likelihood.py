@@ -85,6 +85,8 @@ class CensoredTerm:
             raise DomainError("sigma must be positive")
         if self.tau < 0.0:
             raise DomainError("tau must be non-negative")
+        if self.censored and self.tau == 0.0:
+            raise DomainError("a censored term needs tau > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +146,8 @@ def score_info(censored, y_or_anchor, prediction, tau, sigma: float, offsets=Non
     is shared.  Returns (beta, h) arrays of that shape.  h = 1/sigma^2
     exactly for uncensored terms and lies in (0, 1/sigma^2] for censored
     ones (an interval never carries more curvature than an observation).
+    Censored entries need tau > 0: a zero-width interval has P = 0 and
+    gives NaN.
 
     The interval formulas run over every entry and np.where picks the
     censored ones, so no entry is gathered or scattered.  `offsets`, the

@@ -1,16 +1,22 @@
 """CSV pipeline: parsing policies, provenance, and the surrogate fit."""
 
+import contextlib
 import csv
+import gc
 import json
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cendre import ingest
+from cendre import harness, ingest
+from cendre.cli import main
 from cendre.errors import ConfigError, DomainError
 from cendre.ingest import (
     Dataset,
@@ -163,10 +169,16 @@ def _outcome(path, target, **options):
         ds.column_names, ds.response_name, ds.provenance]
 
 
+def _cell_by_cell():
+    """Send load_csv down its cell-by-cell path: no numpy reader and no
+    parsed copy, which would otherwise serve the body the fast path kept."""
+    return mock.patch.object(ingest, "_numeric_body", return_value=None)
+
+
 def _both_paths(path, target, **options):
     """(numpy's reader first, cell by cell only), both as _outcome."""
     fast = _outcome(path, target, **options)
-    with mock.patch.object(ingest, "_read_numeric", return_value=None):
+    with _cell_by_cell():
         slow = _outcome(path, target, **options)
     return fast, slow
 
@@ -192,7 +204,7 @@ def test_fast_parse_is_bitwise_the_cell_by_cell_parse(tmp_path_factory, table, f
     # No cell goes through float() on the fast path.
     with mock.patch.object(ingest, "_parse_cell", side_effect=AssertionError):
         fast = _outcome(path, target, delimiter=delimiter, header=header)
-    with mock.patch.object(ingest, "_read_numeric", return_value=None):
+    with _cell_by_cell():
         slow = _outcome(path, target, delimiter=delimiter, header=header)
     assert fast == slow
     vals = np.array(rows, dtype=np.float64)
@@ -263,6 +275,30 @@ def test_file_without_a_feature_column_is_rejected(tmp_path):
     ds = load_csv(f, "y", add_intercept=True)  # an intercept alone is a design
     assert (ds.D, ds.p, ds.column_names) == (3, 1, ["intercept"])
     np.testing.assert_array_equal(ds.response, [1.0, 2.0, 10.0])
+
+
+# A UTF-8 byte-order mark, as spreadsheets write into "CSV UTF-8" files,
+# is no part of the first cell on either path.
+@pytest.mark.parametrize("policy", POLICIES, ids=["default", "drop", "skip"])
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, policy):
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbfy,a,b\n1,2,3\n4,5,6\n7,8,10\n-1,0,2\n")
+    fast, slow = _both_paths(f, "y", **policy)
+    assert fast == slow
+    ds = load_csv(f, "y", **policy)
+    assert (ds.column_names, ds.provenance["log"]) == (["a", "b"], [])
+    np.testing.assert_array_equal(ds.response, [1.0, 4.0, 7.0, -1.0])
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["default", "drop", "skip"])
+def test_byte_order_mark_is_not_part_of_a_headerless_body(tmp_path, policy):
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,10\n-1,0,2\n")
+    fast, slow = _both_paths(f, 0, header=False, **policy)
+    assert fast == slow
+    ds = load_csv(f, 0, header=False, **policy)
+    assert (ds.D, ds.provenance["log"]) == (4, [])
+    np.testing.assert_array_equal(ds.response, [1.0, 4.0, 7.0, -1.0])
 
 
 def test_row_with_an_extra_field_is_still_a_row_error(tmp_path):
@@ -370,3 +406,168 @@ def test_sidecar(tmp_path):
     assert doc["response_column"] == "y"
     assert doc["source"].endswith("data.csv")
     assert any("dropped" in line for line in doc["log"])
+
+
+# ---------------------------------------------------------------------
+# the parsed copy kept next to the CSV
+# ---------------------------------------------------------------------
+
+def _numeric_file(tmp_path, name="data.csv", rows=30, seed=31):
+    vals = substream(seed).standard_normal((rows, 4))
+    f = tmp_path / name
+    f.write_text("a,y,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                      for row in vals))
+    return f
+
+
+def _no_parse():
+    """Fail the test if load_csv parses the body instead of reading the copy."""
+    return mock.patch.object(ingest, "_read_numeric", side_effect=AssertionError)
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("target, options", [
+    ("y", {}),
+    (1, {}),
+    (-1, {"header": False}),
+    ("y", {"standardize": True, "add_intercept": True}),
+    ("y", {"drop_non_numeric": True, "skip_bad_rows": True}),
+    ("y", {"delimiter": ";"}),
+], ids=["name", "position", "headerless", "standardize-intercept", "policies",
+        "semicolon"])
+def test_parsed_copy_gives_the_parsed_dataset(tmp_path, target, options):
+    f = _numeric_file(tmp_path)
+    if options.get("delimiter") == ";":
+        f.write_text(f.read_text().replace(",", ";"))
+    if not options.get("header", True):
+        f.write_text(f.read_text().split("\n", 1)[1])
+    miss = _outcome(f, target, **options)
+    assert ingest._parsed_path(f).is_file()
+    with _no_parse():
+        hit = _outcome(f, target, **options)
+    assert hit == miss
+    with _cell_by_cell():
+        assert _outcome(f, target, **options) == hit
+
+
+def test_parsed_copy_follows_the_file_content(tmp_path):
+    f = _numeric_file(tmp_path)
+    before = _outcome(f, "y")
+    stat = f.stat()
+    text = f.read_text()
+    # Same size, same timestamps, one digit changed.
+    digit = next(i for i, ch in enumerate(text) if ch in "123456789" and i > 10)
+    f.write_text(text[:digit] + str(int(text[digit]) % 9 + 1) + text[digit + 1:])
+    os.utime(f, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert f.stat().st_size == stat.st_size
+    with _cell_by_cell():
+        expect = _outcome(f, "y")
+    assert _outcome(f, "y") == expect != before
+    # The header flag is part of the key: the same bytes read without a
+    # header have one row more.
+    g = tmp_path / "numeric-header.csv"
+    g.write_text("1,2,3\n4,5,6\n7,8,10\n-1,0,2\n0,1,1\n")
+    assert load_csv(g, "3").D == 4
+    assert load_csv(g, -1, header=False).D == 5
+    assert load_csv(g, "3").D == 4
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "empty", "npy", "foreign-key"])
+def test_corrupt_parsed_copy_is_ignored_and_rewritten(tmp_path, damage):
+    f = _numeric_file(tmp_path)
+    expect = _outcome(f, "y")
+    cache = ingest._parsed_path(f)
+    raw = cache.read_bytes()
+    if damage == "truncated":
+        cache.write_bytes(raw[:len(raw) // 2])
+    elif damage == "flipped":  # one bit in the stored body: the zip CRC catches it
+        i = len(raw) // 2
+        cache.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:])
+    elif damage == "empty":
+        cache.write_bytes(b"")
+    elif damage == "npy":
+        with open(cache, "wb") as fh:
+            np.save(fh, np.zeros((30, 4)))
+    else:
+        with open(cache, "wb") as fh:
+            np.savez(fh, key=np.array("another file"), body=np.zeros((30, 4)))
+    assert _outcome(f, "y") == expect
+    with _no_parse():
+        assert _outcome(f, "y") == expect
+    assert _leftovers(tmp_path) == []
+
+
+def _fail_replace(*args):
+    raise OSError(28, "No space left on device")
+
+
+def _fail_mid_write(fh, **arrays):
+    fh.write(b"PK\x03\x04 half a zip")
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("module, name, fake", [
+    (os, "replace", _fail_replace), (np, "savez", _fail_mid_write)], ids=["replace", "write"])
+def test_failed_write_of_the_parsed_copy_is_ignored(tmp_path, monkeypatch, module, name, fake):
+    f = _numeric_file(tmp_path)
+    with _cell_by_cell():
+        expect = _outcome(f, "y")
+    monkeypatch.setattr(module, name, fake)
+    assert _outcome(f, "y") == expect
+    assert not ingest._parsed_path(f).exists()
+    assert _leftovers(tmp_path) == []
+
+
+def test_cell_by_cell_file_keeps_no_parsed_copy(tmp_path):
+    f = _write(tmp_path, "a,oops,y\n1,x,3\n4,5,6\n7,8,9\n0,1,2\n")
+    load_csv(f, "y", drop_non_numeric=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_is_parsed_without_a_copy(tmp_path):
+    # Hashing a pipe would drain it before the parse.
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(BASIC,), daemon=True)
+    writer.start()
+    ds = load_csv(fifo, "y")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(ds.response, [3.0, 6.0, 10.0, 2.0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv"]
+
+
+def test_parsed_copy_leaves_no_file_open(tmp_path):
+    f = _numeric_file(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_csv(f, "y")  # miss, write
+        load_csv(f, "y")  # hit
+        cache = ingest._parsed_path(f)
+        cache.write_bytes(cache.read_bytes()[:100])
+        load_csv(f, "y")  # corrupt copy
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_run_on_a_dataset_writes_the_same_bytes_from_the_parsed_copy(tmp_path):
+    f = _numeric_file(tmp_path, rows=200)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "method": "ac-rls", "seed": 4, "replicates": 2,
+        "dataset": {"path": str(f), "target_column": "y"},
+        "censor": {"kind": "constant", "tau": 0.8}}))
+    outs = []
+    for run in ("miss", "hit"):
+        harness._dataset_arrays.cache_clear()  # as in a new process
+        out = tmp_path / run
+        with _no_parse() if run == "hit" else contextlib.nullcontext():
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    harness._dataset_arrays.cache_clear()
+    assert outs[0] == outs[1]
+    assert set(outs[0]) == {"results.csv", "summary.json"}

@@ -41,6 +41,9 @@ def test_term_validation():
         CensoredTerm(False, 1.0, np.ones(2), 1.0, 0.0)
     with pytest.raises(DomainError):
         CensoredTerm(True, 1.0, np.ones(2), -0.5, 1.0)
+    with pytest.raises(DomainError):
+        CensoredTerm(True, 1.0, np.ones(2), 0.0, 1.0)
+    CensoredTerm(False, 1.0, np.ones(2), 0.0, 1.0)
 
 
 # The censored loss is -log P(z_l < Z < z_u) over the standardized
