@@ -14,10 +14,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import secrets
+import stat
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -78,8 +80,9 @@ def _read_numeric(fh, delimiter: str, width: int) -> np.ndarray | None:
     return data
 
 
-# Bump when the parsed copy's layout or the parse it stands for changes,
-# so that copies written before no longer match.
+# Bump when the parsed copy's layout changes, so that copies written
+# before no longer match; the numpy version in the key does the same for
+# a change in what numpy's reader accepts.
 _PARSED_FORMAT = 1
 
 
@@ -89,14 +92,19 @@ def _parsed_path(csv_path) -> Path:
     return p.with_name(p.name + ".parsed.npz")
 
 
-def _parsed_key(path: Path, delimiter: str, header: bool) -> str:
-    """The parsed copy's key: format version, SHA-256 of the file's bytes
-    (read in blocks, so memory stays flat), delimiter and header flag."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return f"{_PARSED_FORMAT}:{digest.hexdigest()}:{delimiter!r}:{int(header)}"
+def _digest(raw) -> tuple[str, int] | None:
+    """(SHA-256, length) of the regular file open as raw, read from its
+    start in blocks, so memory stays flat, and raw is left at its start.
+    None for a pipe or other special file, which reading would drain."""
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+        return None
+    raw.seek(0)
+    digest, size = hashlib.sha256(), 0
+    for block in iter(lambda: raw.read(1 << 16), b""):
+        digest.update(block)
+        size += len(block)
+    raw.seek(0)
+    return digest.hexdigest(), size
 
 
 def _load_parsed(cache: Path, key: str, width: int) -> np.ndarray | None:
@@ -119,36 +127,52 @@ def _load_parsed(cache: Path, key: str, width: int) -> np.ndarray | None:
     return body
 
 
+def _write_member(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """array as the .npy member name of zf, written from its own buffer:
+    np.savez would copy it, up to 16 MiB at a time, into a zip member."""
+    with zf.open(name + ".npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(
+            member, np.lib.format.header_data_from_array_1_0(array))
+        member.write(memoryview(array).cast("B"))
+
+
 def _store_parsed(cache: Path, key: str, body: np.ndarray) -> None:
     """Replace the copy at cache with body under key, in one rename so that
     no reader sees half a file.  An OSError (read-only directory, full
     disk) leaves no copy and no temporary file, and is not raised."""
     tmp = cache.with_name(f"{cache.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with open(tmp, "xb") as fh:  # a file object: numpy adds no suffix
-            np.savez(fh, key=np.array(key), body=body)
+        with open(tmp, "xb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+            _write_member(zf, "key", np.array(key))
+            _write_member(zf, "body", body)
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):  # also when open() made no file
             os.unlink(tmp)
 
 
-def _numeric_body(path: Path, fh, delimiter: str, header: bool, width: int):
+def _numeric_body(path: Path, fh, digest, delimiter: str, header: bool, width: int):
     """_read_numeric's result for the rest of fh, through the parsed copy.
 
-    A regular file whose copy matches its bytes, delimiter and header
-    flag is not parsed; a parsed body is stored for the next load.  A
-    pipe or other special file is only parsed, since hashing it would
-    consume it.
+    fh is text over the binary handle fh.buffer, and digest is _digest's
+    result for that handle before any of it was read: the key hashes the
+    bytes of the file that is parsed, even if another file has been
+    renamed over path since.  A body that matches its key is not parsed.
+    A parsed body is stored only if the parse ended where the hash did
+    and a second hash of the handle agrees, so a file rewritten in place
+    during the load leaves no copy, unless the rewrite kept its length
+    throughout and ended with the hashed bytes.  A pipe or other special
+    file (digest None) is only parsed.
     """
-    if not path.is_file():
+    if digest is None:
         return _read_numeric(fh, delimiter, width)
-    key = _parsed_key(path, delimiter, header)
+    key = f"{_PARSED_FORMAT}:{np.__version__}:{digest[0]}:{delimiter!r}:{int(header)}"
     cache = _parsed_path(path)
     data = _load_parsed(cache, key, width)
     if data is None:
         data = _read_numeric(fh, delimiter, width)
-        if data is not None:
+        if (data is not None and fh.buffer.tell() == digest[1]
+                and _digest(fh.buffer) == digest):
             _store_parsed(cache, key, data)
     return data
 
@@ -171,11 +195,12 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     byte-order mark.
 
     The body numpy parses is kept next to the CSV as <name>.parsed.npz,
-    keyed by the SHA-256 of the file's bytes, the delimiter and the
-    header flag; a later load with the same key reads it back instead of
-    parsing, and returns an equal Dataset.  Deleting the copy is always
-    safe, and where it cannot be written the load just parses every
-    time.  The cell-by-cell path neither reads nor writes it.
+    keyed by the SHA-256 of the file's bytes, the delimiter, the header
+    flag, the numpy version and a format version; a later load with the
+    same key reads it back instead of parsing, and returns an equal
+    Dataset.  The copy is trusted like the CSV itself.  Deleting it is
+    always safe, and where it cannot be written the load just parses
+    every time.  The cell-by-cell path neither reads nor writes it.
 
     Parameters
     ----------
@@ -198,15 +223,17 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
     """
     path = Path(path)
     log: list[str] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = next(filter(None, csv.reader(fh, delimiter=delimiter)), None)
-        if not header:
-            fh.seek(0)
-        data = (None if first is None
-                else _numeric_body(path, fh, delimiter, header, len(first)))
-        if data is None:
-            fh.seek(0)
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    with open(path, "rb") as raw:
+        digest = _digest(raw)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="") as fh:
+            first = next(filter(None, csv.reader(fh, delimiter=delimiter)), None)
+            if not header:
+                fh.seek(0)
+            data = (None if first is None
+                    else _numeric_body(path, fh, digest, delimiter, header, len(first)))
+            if data is None:
+                fh.seek(0)
+                rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     if first is None:
         raise DomainError(f"{path}: empty file")
 
