@@ -772,35 +772,32 @@ def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
     projected onto its hyperplane.  Deterministic given seed.  The
     optional callback(k, theta) observes the iterate after draw k.
 
-    seed is one seed, giving a (p,) iterate, or a sequence of R seeds,
-    giving an (R, p) iterate whose row r is bitwise the sweep of seed r
-    alone: all R sweeps draw in lockstep, one batched projection per draw.
+    seed is a sequence of R seeds, giving an (R, p) iterate whose row r
+    is bitwise the sweep of seed r alone: all R sweeps draw in lockstep,
+    one batched projection per draw.  One seed s gives the (p,) iterate,
+    row 0 of the sweep of [s], and the callback sees that row.
     """
+    if np.ndim(seed) == 0:  # row 0 of the lockstep sweep of [seed]
+        observe = None if callback is None else (lambda k, theta: callback(k, theta[0]))
+        return kaczmarz_run(X, y, iters, [seed], observe)[0]
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     norms_sq = np.einsum("ij,ij->i", X, X)
     if np.any(norms_sq == 0.0):
         raise DomainError("kaczmarz_run requires no zero rows")
     probs = norms_sq / norms_sq.sum()
-    single = np.ndim(seed) == 0
     draws = np.stack([substream(s).choice(X.shape[0], size=int(iters), p=probs)
-                      for s in ([seed] if single else seed)], axis=1)
+                      for s in seed], axis=1)
     theta = np.zeros((draws.shape[1], X.shape[1]), dtype=np.float64)
-    # A block gathers about _PANEL rows, whatever the replicate count.
+    # Replicate r's x'theta is the (1, p) @ (p, 1) product of its own row
+    # and iterate.  A block gathers about _PANEL rows, whatever the
+    # replicate count.
+    state, col = theta[:, None, :], theta[:, :, None]
     block = max(1, _PANEL // draws.shape[1])
-    if single:
-        # The 1-D arithmetic of one sweep: x'theta is a scalar dot.
-        draws, theta = draws[:, 0], theta[0]
-        state = col = theta
-    else:
-        # Replicate r's x'theta is the (1, p) @ (p, 1) product of its
-        # own row and iterate, the same dot as the single sweep's.
-        state, col = theta[:, None, :], theta[:, :, None]
     for a in range(0, draws.shape[0], block):
         picked = draws[a:a + block]
         rows, resp, energy = X[picked], y[picked], norms_sq[picked]
-        if not single:
-            rows, resp, energy = rows[:, :, None], resp[..., None, None], energy[..., None, None]
+        rows, resp, energy = rows[:, :, None], resp[..., None, None], energy[..., None, None]
         for k, (row, y_k, e_k) in enumerate(zip(rows, resp, energy), start=a + 1):
             state += ((y_k - row @ col) / e_k) * row
             if callback is not None:

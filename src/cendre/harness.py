@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -278,9 +279,25 @@ class TrialTrace:
         return int(self.n[-1]) if self.n.size else 0
 
 
-@lru_cache(maxsize=8)
 def _dataset_arrays(path: str, options_key: tuple):
-    """(X, y, theta_o, sigma) of a dataset, read-only: every caller shares them."""
+    """(X, y, theta_o, sigma) of a dataset, read-only: every caller shares them.
+
+    One copy per file is kept in the process, keyed by path, options and
+    the file's identity from one stat (device, inode, size and mtime in
+    ns), as Python's bytecode cache is: a file replaced or rewritten since
+    is read again.  A same-size rewrite in place within one tick of the
+    file system's mtime is not seen.
+    """
+    try:
+        st = os.stat(path)
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    except OSError:
+        identity = None  # load_csv reports it
+    return _parsed_dataset(path, options_key, identity)
+
+
+@lru_cache(maxsize=8)
+def _parsed_dataset(path: str, options_key: tuple, identity):
     options = dict(options_key)
     target = options.pop("target_column")
     ds = load_csv(path, target, **options)
@@ -290,11 +307,15 @@ def _dataset_arrays(path: str, options_key: tuple):
     return ds.design, ds.response, theta_o, sigma
 
 
+def _dataset(cfg: ExperimentConfig):
+    return _dataset_arrays(cfg.dataset_path, tuple(sorted(cfg.dataset_options.items())))
+
+
 def _source_arrays(cfg: ExperimentConfig, replicate_seed: int, data=None):
-    """(X, y, theta_o, sigma) for one replicate; data is its (X, y) if drawn already."""
+    """(X, y, theta_o, sigma) for one replicate; data is its (X, y) if drawn
+    already.  A dataset's X and y are tiled ``passes`` times."""
     if cfg.dataset_path is not None:
-        key = tuple(sorted(cfg.dataset_options.items()))
-        X, y, theta_o, sigma = _dataset_arrays(cfg.dataset_path, key)
+        X, y, theta_o, sigma = _dataset(cfg)
         if cfg.passes > 1:
             X = np.tile(X, (cfg.passes, 1))
             y = np.tile(y, cfg.passes)
@@ -308,20 +329,46 @@ def _replicate_panels(cfg: ExperimentConfig, seeds, data=None):
     """(panels, total, theta_o, sigma) for all replicates side by side.
 
     panels yields (y, X) blocks of consecutive data shaped (m, R) and
-    (m, R, p).  A dataset, or data already drawn, is one replicate's and
-    is sliced, not copied.  Synthetic streams are drawn panel by panel
-    into one buffer that every block overwrites, so one panel per
-    replicate is alive at a time.
+    (m, R, p).  A dataset, or data already drawn, is one replicate's: it
+    is walked ``passes`` times, not tiled (see _walked_panels).  A single
+    synthetic stream hands on its source's panels as views.  More streams
+    are drawn panel by panel into one buffer that every block overwrites,
+    so one panel per replicate is alive at a time.
     """
-    if cfg.dataset_path is not None or data is not None:
+    if cfg.dataset_path is not None:
+        X, y, theta_o, sigma = _dataset(cfg)
+        return _walked_panels(y, X, cfg.passes), cfg.passes * len(y), theta_o, sigma
+    if data is not None:
         X, y, theta_o, sigma = _source_arrays(cfg, seeds[0], data)
-        panels = ((y[a:a + _PANEL, None], X[a:a + _PANEL, None]) for a in range(0, len(y), _PANEL))
-        return panels, len(y), theta_o, sigma
+        return _walked_panels(y, X, 1), len(y), theta_o, sigma
     spec = cfg.stream.pinned()
     return _drawn_panels(spec, seeds), spec.D, spec.theta, spec.sigma
 
 
+def _walked_panels(y, X, passes: int):
+    """The (y, X) panels of ``passes`` walks over the rows, cut every
+    _PANEL rows where the tiled rows would be: views, but for a panel that
+    crosses a pass boundary, whose rows are gathered into new arrays."""
+    D = len(y)
+    for a in range(0, passes * D, _PANEL):
+        i, j = a % D, a % D + min(_PANEL, passes * D - a)
+        if j <= D:
+            yield y[i:j, None], X[i:j, None]
+        else:
+            yield _wrapped(y, i, j), _wrapped(X, i, j)
+
+
+def _wrapped(a, i: int, j: int):
+    """Rows i to j of a repeated end to end, shaped (j - i, 1, ...)."""
+    return a[np.arange(i, j) % len(a), None]
+
+
 def _drawn_panels(spec: StreamSpec, seeds):
+    if len(seeds) == 1:  # the generator's own panels; none held while the next is drawn
+        for y, X in generate(spec.with_seed(seeds[0]), panels=True):
+            yield y[:, None], X[:, None]
+            del y, X
+        return
     streams = [generate(spec.with_seed(s), panels=True) for s in seeds]
     Y = X = None
     while True:
@@ -433,6 +480,7 @@ def _run_lockstep(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
         step = partial(_nac_panel, run, theta, [_plan(cfg, p, f) for f in prelims])
     for Y, X in panels:
         step(Y, X)
+        del Y, X  # not alive while the next panel is drawn
     mse, ratios, mults = run.traces()
     return [_trace(cfg, seed, marks, mse[:, r], ratios[:, r], mults[:, r], theta_o,
                    run.kept[r], run.theta[r])

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +354,71 @@ def test_multipass_dataset(tmp_path):
            "censor": {"kind": "constant", "tau": 0.5}}
     t = run_trial(ExperimentConfig.from_dict(doc), 3)
     assert t.steps == 120
+
+
+def _traced_peak(cfg) -> int:
+    tracemalloc.start()
+    try:
+        monte_carlo(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_passes_are_walked_not_tiled(tmp_path):
+    # Once the dataset is loaded, more passes hold at most the one panel
+    # that crosses a pass boundary: 1,024 rows of 20 x columns and y, and
+    # its two array objects.  Tiling held all passes at once.
+    f = tmp_path / "d.csv"
+    f.write_text(",".join(f"x{j}" for j in range(20)) + ",y\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in substream(81).standard_normal((3_000, 21))))
+    doc = {"schema": 1, "method": "ac-rls", "seed": 3,
+           "dataset": {"path": str(f), "target_column": "y"},
+           "censor": {"kind": "ac-offline", "target_pi": 0.9}}
+    monte_carlo(ExperimentConfig.from_dict(doc))  # load the dataset
+    one = _traced_peak(ExperimentConfig.from_dict(doc))
+    many = _traced_peak(ExperimentConfig.from_dict({**doc, "passes": 16}))
+    assert many - one <= 1_024 * 21 * 8 + 1_024
+
+
+def test_single_stream_panels_are_not_copied():
+    # The lockstep reads the generator's panels in place and lets go of
+    # each before the next is drawn: the panel being drawn is the only one
+    # alive, beside the step matrix.  A second buffer made it three.
+    p = 50
+    cfg = _cfg(stream=_stream(p=p, D=4 * 1_024 + 100),
+               censor={"kind": "ac-offline", "target_pi": 0.9})
+    monte_carlo(cfg)
+    assert _traced_peak(cfg) < 2 * 1_024 * p * 8
+
+
+def _write_fixed_width(path, seed, rows):
+    path.write_text("a,b,y\n" + "".join(",".join(f"{v:+.6e}" for v in row) + "\n"
+                                        for row in substream(seed).standard_normal((rows, 3))))
+
+
+@pytest.mark.parametrize("rewrite", ["other-size", "same-size"])
+def test_dataset_rewritten_between_runs_is_read_again(tmp_path, rewrite):
+    # The process keeps one loaded copy per file; a rewrite of the file
+    # changes its size or mtime, and the next run reads it again.
+    f = tmp_path / "d.csv"
+    doc = {"schema": 1, "method": "rls", "seed": 3,
+           "dataset": {"path": str(f), "target_column": "y"}}
+    _write_fixed_width(f, 1, 200)
+    first = monte_carlo(ExperimentConfig.from_dict(doc)).traces[0].final_theta
+    before = f.stat()
+    _write_fixed_width(f, 2, 300 if rewrite == "other-size" else 200)
+    if rewrite == "same-size":  # as if a tick of the file system's clock had passed
+        assert f.stat().st_size == before.st_size
+        os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+    got = monte_carlo(ExperimentConfig.from_dict(doc)).traces[0].final_theta
+    fresh = tmp_path / "fresh.csv"
+    shutil.copyfile(f, fresh)
+    want = monte_carlo(ExperimentConfig.from_dict(
+        {**doc, "dataset": {"path": str(fresh), "target_column": "y"}})).traces[0].final_theta
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() != first.tobytes()
 
 
 def test_dataset_arrays_are_read_only(tmp_path):

@@ -638,11 +638,11 @@ def test_run_on_a_dataset_writes_the_same_bytes_from_the_parsed_copy(tmp_path):
         "censor": {"kind": "constant", "tau": 0.8}}))
     outs = []
     for run in ("miss", "hit"):
-        harness._dataset_arrays.cache_clear()  # as in a new process
+        harness._parsed_dataset.cache_clear()  # as in a new process
         out = tmp_path / run
         with _no_parse() if run == "hit" else contextlib.nullcontext():
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    harness._dataset_arrays.cache_clear()
+    harness._parsed_dataset.cache_clear()
     assert outs[0] == outs[1]
     assert set(outs[0]) == {"results.csv", "summary.json"}

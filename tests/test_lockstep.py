@@ -225,31 +225,40 @@ def test_warm_up_filling_a_panel(method):
 
 
 @pytest.mark.parametrize("method", ["ac-rls", "rls", "samle2", "rac-lms"])
-def test_lockstep_dataset_two_passes(tmp_path, method):
-    rng = substream(404)
-    X = rng.standard_normal((300, 3))
-    y = X @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(300)
-    path = tmp_path / "d.csv"
-    path.write_text("a,b,c,y\n" + "".join(
-        ",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(X, y)))
-    doc = {"schema": 1, "method": method, "seed": 2, "replicates": R, "passes": 2,
-           "dataset": {"path": str(path), "target_column": "y"}}
-    if method == "samle2":
-        doc.update(K=20, censor={"kind": "nac-exact", "target_pi": 0.5})
-    elif method == "rac-lms":
-        doc.update(censor={"kind": "ac-offline", "target_pi": 0.5},
-                   estimator={"mu": {"policy": "constant", "value": 0.02}, "tau_out": 3.0})
-    elif method == "ac-rls":
-        doc.update(censor={"kind": "ac-offline", "target_pi": 0.5})
-    cfg = ExperimentConfig.from_dict(doc)
-    res = monte_carlo(cfg)
-    ds = load_csv(path, "y")
-    theta_o, sigma = surrogate_truth(ds)
-    want = scalar_trial(cfg, np.tile(ds.design, (2, 1)), np.tile(ds.response, 2),
-                        theta_o, sigma)
-    assert res.traces[0].steps == 600 - (20 if method == "samle2" else 0)
-    for trace in res.traces:
-        assert_matches(trace, want)
+def test_lockstep_dataset_two_passes(tmp_path, monkeypatch, method):
+    # The passes are walked, not tiled: at D = 300 the first 1024-row
+    # panel crosses the pass boundary, at D = 1500 the second one does.
+    for D in (300, 1500):
+        rng = substream(404)
+        X = rng.standard_normal((D, 3))
+        y = X @ np.array([0.5, -1.0, 2.0]) + 0.3 * rng.standard_normal(D)
+        path = tmp_path / f"d{D}.csv"
+        path.write_text("a,b,c,y\n" + "".join(
+            ",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(X, y)))
+        doc = {"schema": 1, "method": method, "seed": 2, "replicates": R, "passes": 2,
+               "dataset": {"path": str(path), "target_column": "y"}}
+        if method == "samle2":
+            doc.update(K=20, censor={"kind": "nac-exact", "target_pi": 0.5})
+        elif method == "rac-lms":
+            doc.update(censor={"kind": "ac-offline", "target_pi": 0.5},
+                       estimator={"mu": {"policy": "constant", "value": 0.02}, "tau_out": 3.0})
+        elif method == "ac-rls":
+            doc.update(censor={"kind": "ac-offline", "target_pi": 0.5})
+        cfg = ExperimentConfig.from_dict(doc)
+        res = monte_carlo(cfg)
+        ds = load_csv(path, "y")
+        theta_o, sigma = surrogate_truth(ds)
+        tiled = np.tile(ds.design, (2, 1)), np.tile(ds.response, 2)
+        want = scalar_trial(cfg, *tiled, theta_o, sigma)
+        assert res.traces[0].steps == 2 * D - (20 if method == "samle2" else 0)
+        for trace in res.traces:
+            assert_matches(trace, want)
+        # Bitwise the run of one pass over the tiled rows.
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_dataset_arrays", lambda *_: (*tiled, theta_o, sigma))
+            one = monte_carlo(replace(cfg, passes=1)).traces[0]
+        for name in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            assert getattr(res.traces[0], name).tobytes() == getattr(one, name).tobytes()
 
 
 @pytest.mark.parametrize("source", ["dataset", "stream"])
