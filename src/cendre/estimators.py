@@ -53,7 +53,6 @@ and is not saved; a restored gated estimator is given tau at each step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +60,7 @@ from scipy.linalg.blas import dgemm
 
 from .censor import CensorDecision, ThresholdPlan, robust_decide
 from .errors import ConfigError, DomainError, SingularityError, UsageError
+# evaluate is not called here: perfbench/tracer.py pins this module's binding of it.
 from .likelihood import CensoredTerm, evaluate, interval_offsets, loss, score_info
 from .numkit.linalg import cholesky_solve
 from .numkit.rng import substream
@@ -271,7 +271,7 @@ class _Lockstep:
             if self.mu is not None:
                 self.theta_rows[rows] += (self.mu.at(n) * beta) * x
                 return
-            v, s = self._quadratic(rows, x, h is None or h) if Px is None else Px
+            v, s = self._quadratic(rows, x) if Px is None else Px
             k = v[0]  # the updated P times x; P x itself when h = 0
             if h is None or h:
                 denom = 1.0 + (s if h is None else h * s)
@@ -314,11 +314,11 @@ class _Lockstep:
                 # on one thread, where dger woke two at p = 200, twice as slow.
                 dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
 
-    def _quadratic(self, r, x, both=True):
-        """(P x as a (1, p) row, x'Px or None unless `both`) of replicate r
-        at x (p,), as its one-replicate update computes them."""
+    def _quadratic(self, r, x):
+        """(P x as a (1, p) row, x'Px) of replicate r at x (p,), as its
+        one-replicate update computes them."""
         v = np.matmul(self.P[r:r + 1], x[None, :, None])[:, :, 0]
-        return v, float(np.einsum("rp,rp->r", x[None], v)[0]) if both else None
+        return v, float(np.einsum("rp,rp->r", x[None], v)[0])
 
     def _breakdown(self, step) -> SingularityError:
         what = f"{'information ' * (self.method == 'samle2')}update denominator vanished"
@@ -469,8 +469,7 @@ class _Lockstep:
         bad when, with tau_out, E holds a value that is not finite, which is
         then a hit too, for the robust rule raises on it."""
         hit = abs(E) >= cut
-        bad = self.tau_out is not None and not math.isfinite(
-            E if isinstance(E, float) else E.sum())
+        bad = self.tau_out is not None and not np.isfinite(E).all()
         if bad:
             hit = hit | ~np.isfinite(E)
         return hit, bad
@@ -478,11 +477,7 @@ class _Lockstep:
     def _under_clip(self, tau):
         """tau, an array or a number, capped at tau_out: the clip wins while
         a plan warms up."""
-        if self.tau_out is None:
-            return tau
-        if isinstance(tau, np.ndarray):
-            return np.minimum(tau, self.tau_out)
-        return min(tau, self.tau_out)
+        return tau if self.tau_out is None else np.minimum(tau, self.tau_out)
 
     def _online_tau(self, Xw, rs, n, q=None):
         """ac-online thresholds from x'Px (n-1)/n, under the clip: of a window
@@ -504,13 +499,12 @@ class _Lockstep:
             r = int(np.isfinite(e1).argmin())
             robust_decide(float(e1[r]), self.sigma, float(tau1[r]), self.tau_out)
         bound = self.tau_out * self.sigma
-        out = abs(e) >= bound
-        many = isinstance(out, np.ndarray)
-        if not (out.any() if many else out):
+        out = np.abs(e) >= bound
+        if not out.any():
             return e, None
         self.clipped[rows] += out
         score = bound * (e > 0) - bound * (e < 0)  # tau_out sigma sign(e), e != 0 here
-        return (np.where(out, score, e), np.where(out, 0.0, 1.0)) if many else (score, 0.0)
+        return np.where(out, score, e), np.where(out, 0.0, 1.0)
 
     # -- results ------------------------------------------------------------
 
@@ -588,11 +582,9 @@ class _Gate:
                 Px = k._quadratic(0, x)
                 tau = k._online_tau(None, None, n, Px[1])
             else:
-                tau = k.plan.threshold(n, x=x)
-                if k.tau_out is not None:
-                    # An adaptive schedule can ask for a threshold above the clip
-                    # boundary while it warms up; the clip stays in charge there.
-                    tau = k._under_clip(tau)
+                # An adaptive schedule can ask for a threshold above the clip
+                # boundary while it warms up; the clip stays in charge there.
+                tau = k._under_clip(k.plan.threshold(n, x=x))
         every, per_kept, per_clipped = self._costs[planned]
         self.n = n
         self.multiply_count += every
@@ -696,7 +688,7 @@ class RLS(_Gate):
 class _CensoredMLE:
     """Steps on a censor's decision: the datum becomes its likelihood term,
     a censored one anchored at x'theta_K, and the recursion takes the
-    term's beta and h from ``evaluate``."""
+    term's beta and h from a one-term ``score_info``, without its loss."""
 
     def step(self, decision: CensorDecision, x, tau: float):
         x = np.asarray(x, dtype=np.float64)
@@ -711,8 +703,9 @@ class _CensoredMLE:
         else:
             self.multiply_count += every
             term = CensoredTerm(True, float(x @ self.anchor_theta), x, tau, self.sigma)
-        si = evaluate(term, self.theta)
-        self._k.update(0, x, si.beta, si.info, self.n)
+        beta, h = score_info([term.censored], [term.y_or_anchor], [float(x @ self.theta)],
+                             term.tau, term.sigma)
+        self._k.update(0, x, float(beta[0]), float(h[0]), self.n)
         return self
 
 

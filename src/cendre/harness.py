@@ -346,21 +346,12 @@ def _replicate_panels(cfg: ExperimentConfig, seeds, data=None):
 
 
 def _walked_panels(y, X, passes: int):
-    """The (y, X) panels of ``passes`` walks over the rows, cut every
-    _PANEL rows where the tiled rows would be: views, but for a panel that
-    crosses a pass boundary, whose rows are gathered into new arrays."""
+    """The (y, X) panels of ``passes`` walks over the rows, each gathered
+    into new (m, 1) and (m, 1, p) arrays cut every _PANEL tiled rows."""
     D = len(y)
     for a in range(0, passes * D, _PANEL):
-        i, j = a % D, a % D + min(_PANEL, passes * D - a)
-        if j <= D:
-            yield y[i:j, None], X[i:j, None]
-        else:
-            yield _wrapped(y, i, j), _wrapped(X, i, j)
-
-
-def _wrapped(a, i: int, j: int):
-    """Rows i to j of a repeated end to end, shaped (j - i, 1, ...)."""
-    return a[np.arange(i, j) % len(a), None]
+        rows = np.arange(a, min(a + _PANEL, passes * D)) % D
+        yield y[rows, None], X[rows, None]
 
 
 def _drawn_panels(spec: StreamSpec, seeds):
@@ -633,9 +624,6 @@ def monte_carlo(cfg: ExperimentConfig) -> MonteCarloResult:
         traces = [run_trial(cfg, s) for s in seeds]
 
     grid = traces[0].n
-    for t in traces[1:]:
-        if not np.array_equal(t.n, grid):
-            raise ConfigError("replicates disagree on the recording grid")
     mse = np.stack([t.mse for t in traces])
     rse = np.stack([t.rse for t in traces])
     ratio = np.stack([t.censor_ratio for t in traces])

@@ -224,6 +224,12 @@ def test_run_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert "invalid 'stream' section: seed must be nonnegative" in capsys.readouterr().err
 
+    # A noiseless stream is a valid stream, but gives a censoring rule no scale.
+    cfg = _run_config(tmp_path, _basic_doc(stream={"p": 3, "D": 128, "sigma": 0.0}), "s0.json")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert ("config error: censoring rules need a positive noise scale sigma"
+            in capsys.readouterr().err)
+
 
 @pytest.mark.parametrize("command, field", [
     (("run", "stream", {"p": "x", "D": 64, "sigma": 1.0}), "stream.p"),

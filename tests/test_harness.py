@@ -12,7 +12,7 @@ import pytest
 
 from cendre import harness
 from cendre.datagen import StreamSpec
-from cendre.errors import ConfigError, DomainError
+from cendre.errors import ConfigError, DomainError, SingularityError
 from cendre.estimators import StepSize
 from cendre.harness import (
     ExperimentConfig,
@@ -273,6 +273,9 @@ def test_nac_trial_needs_enough_data():
                censor={"kind": "nac-clt", "target_pi": 0.3})
     with pytest.raises(ConfigError):
         run_trial(cfg, 9)
+    # A warm-up of the whole stream leaves the recursion no step.
+    with pytest.raises(ConfigError, match="stream leaves no data to process after warm-up"):
+        run_trial(_cfg(method="samle2", K=400, censor={"kind": "constant", "tau": 1.0}), 9)
 
 
 def test_lms_requires_mu():
@@ -294,6 +297,41 @@ def test_aclms_default_gain_needs_known_covariance():
                stream=_stream(design="student-t", df=2.0))
     with pytest.raises(ConfigError):
         run_trial(cfg, 1)
+
+
+def test_aclms_default_gain_is_two_over_alpha(tmp_path):
+    # With the design covariance known, ac-lms without mu steps with the
+    # diminishing gain 2/(alpha n), alpha from the paper's constants.
+    default = _doc(method="ac-lms")
+    alpha = prop_bounds(ExperimentConfig.from_dict(default))["alpha"]
+    given = _doc(method="ac-lms",
+                 estimator={"mu": {"policy": "diminishing", "value": 2.0 / alpha}})
+    runs = []
+    for name, doc in (("default", default), ("given", given)):
+        res = monte_carlo(ExperimentConfig.from_dict(doc))
+        runs.append((write_results_csv(res.traces, tmp_path / f"{name}.csv").read_bytes(),
+                     [t.final_theta.tobytes() for t in res.traces]))
+    assert runs[0] == runs[1]
+
+
+def test_rank_deficient_warm_up_names_K(tmp_path):
+    # Column a is 0 in the first 40 rows, so no fit on the first K = 20
+    # exists, although the file as a whole has full rank.
+    rng = substream(79)
+    X = rng.standard_normal((120, 3))
+    X[:40, 0] = 0.0
+    assert np.linalg.matrix_rank(X) == 3
+    y = X @ np.array([0.5, -1.0, 2.0]) + 0.2 * rng.standard_normal(120)
+    f = tmp_path / "d.csv"
+    f.write_text("a,b,c,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*r, t)) + "\n" for r, t in zip(X, y)))
+    cfg = ExperimentConfig.from_dict({
+        "schema": 1, "method": "samle2", "seed": 3, "K": 20,
+        "dataset": {"path": str(f), "target_column": "y"},
+        "censor": {"kind": "constant", "tau": 1.0},
+    })
+    with pytest.raises(SingularityError, match="first K=20 data is rank deficient"):
+        monte_carlo(cfg)
 
 
 def test_batch_trial_trace():

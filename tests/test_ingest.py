@@ -479,12 +479,17 @@ def test_parsed_copy_follows_the_file_content(tmp_path):
     assert load_csv(g, "3").D == 4
 
 
-@pytest.mark.parametrize("damage", ["truncated", "flipped", "empty", "npy", "foreign-key"])
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "empty", "npy", "foreign-key",
+                                    "float32", "width", "fortran"])
 def test_corrupt_parsed_copy_is_ignored_and_rewritten(tmp_path, damage):
+    # The last three keep the file's key over a body that is not what the
+    # reader gives the file.
     f = _numeric_file(tmp_path)
     expect = _outcome(f, "y")
     cache = ingest._parsed_path(f)
     raw = cache.read_bytes()
+    with np.load(cache) as npz:
+        key, body = npz["key"].item(), npz["body"]
     if damage == "truncated":
         cache.write_bytes(raw[:len(raw) // 2])
     elif damage == "flipped":  # one bit in the stored body: the zip CRC catches it
@@ -495,10 +500,21 @@ def test_corrupt_parsed_copy_is_ignored_and_rewritten(tmp_path, damage):
     elif damage == "npy":
         with open(cache, "wb") as fh:
             np.save(fh, np.zeros((30, 4)))
-    else:
+    elif damage == "foreign-key":
         with open(cache, "wb") as fh:
             np.savez(fh, key=np.array("another file"), body=np.zeros((30, 4)))
-    assert _outcome(f, "y") == expect
+    elif damage == "float32":
+        ingest._store_parsed(cache, key, body.astype(np.float32))
+    elif damage == "width":
+        ingest._store_parsed(cache, key, np.hstack([body, body[:, :1]]))
+    else:  # _store_parsed writes C order only; np.savez keeps the Fortran flag
+        with open(cache, "wb") as fh:
+            np.savez(fh, key=np.array(key), body=np.asfortranarray(body))
+        with np.load(cache) as npz:
+            assert not npz["body"].flags.c_contiguous
+    with mock.patch.object(ingest, "_read_numeric", wraps=ingest._read_numeric) as parse:
+        assert _outcome(f, "y") == expect
+    assert parse.call_count == 1
     with _no_parse():
         assert _outcome(f, "y") == expect
     assert _leftovers(tmp_path) == []
