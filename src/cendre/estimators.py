@@ -46,17 +46,20 @@ class docstring and ``_multiplies``.
 
 ``snapshot()`` writes an estimator's state as one JSON document: its
 ``kind``, its scalar attributes as they are, its step-size policy as
-{"policy", "value"}, and its arrays as nested lists.  ``from_snapshot``
-reads that document back.  A threshold plan is configuration, not state,
-and is not saved; a restored gated estimator is given tau at each step.
+{"policy", "value"}, and its arrays as nested lists.  A second-order
+estimator saves its step matrix P and also the base and pending vectors
+that P is held as (see ``_Lockstep``), so a restored one resumes bitwise.
+``from_snapshot`` reads that document back.  A threshold plan is
+configuration, not state, and is not saved; a restored gated estimator is
+given tau at each step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .censor import CensorDecision, ThresholdPlan, robust_decide
 from .errors import ConfigError, DomainError, SingularityError, UsageError
@@ -82,6 +85,7 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12
 _PANEL = 1024  # rows a block of data holds in memory; R Kaczmarz replicates share one
+_FOLD = 16  # kept steps a step matrix holds as pending vectors before they fold into its base
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,10 +210,22 @@ class _Lockstep:
     The gate (none, the NAC interval term, the AC skip, the robust clip)
     sets a score beta and a weight h per replicate; the recursion is
     theta += mu_n beta x, or P <- (P^-1 + h x x')^-1 and theta += beta P x.
-    samle2 and rls update every P in one batch, gated RLS and a lone
-    replicate each stepping P[r] in place by BLAS.  Each product and each
-    rank-one entry is computed the same way for one row as for many, so a
-    replicate's trace does not depend on its company.
+
+    P is held as P_b - W'W: a base P_b (R, p, p) and the pending vectors
+    W (R, _FOLD, p), one a row, zero past each replicate's count c[r].
+    Both are blocks of one (R, p + _FOLD, p) array, so one matrix-vector
+    product gives P_b x and W x.  A step computes v = P x = P_b x - W'(W x)
+    and denom = 1 + h x'v, moves theta by beta v / denom, and stores
+    w = v sqrt(h / denom) as row c[r] of W, for the Sherman-Morrison step
+    is P - w w' (w = 0 for a clipped outlier, so c[r] counts every kept
+    step).  Once c[r] reaches _FOLD, the replicate folds: P_b -= W'W
+    and W = 0, one symmetric rank-_FOLD product in place of _FOLD rank-one
+    updates (the delayed update of the Level 3 BLAS; Dongarra, Du Croz,
+    Duff and Hammarling, ACM TOMS 16(1), 1990).  W'W is computed as a
+    symmetric product, so P stays exactly symmetric when P_b starts so.
+    Each product is computed the same way for one row as for a stack of
+    them, and a fold depends on c[r] alone, so a replicate's trace does
+    not depend on its company.
 
     A panel advances by one of two loops.  ``every_panel`` steps every
     replicate on every datum (lms, rls, samle1, samle2), in one batch, or
@@ -229,7 +245,7 @@ class _Lockstep:
         self.method, self.sigma, self.theta_o, self.marks = method, sigma, theta_o, marks
         self.theta = np.zeros((R, p)) if theta is None else np.array(theta, dtype=np.float64)
         self.theta_rows = list(self.theta)  # row views, updated in place
-        self.P = None
+        self.Pb = None
         if P is not None:
             self._take_P(P)
         self.mu, self.plan, self.tau_out, self.epsilon = mu, plan, tau_out, epsilon
@@ -244,15 +260,26 @@ class _Lockstep:
         self._at = np.zeros((3, len(marks), R))
 
     def _take_P(self, P) -> None:
-        """Hold a copy of P (R, p, p) in C order: each P[r].T is then a
-        Fortran-order view, which BLAS updates in place."""
-        self.P = np.array(P, dtype=np.float64, order="C")
-        self.P_fortran = list(self.P.transpose(0, 2, 1))
+        """Hold a copy of P (R, p, p) as the base, with no pending vectors."""
+        P = np.asarray(P, dtype=np.float64)
+        R, p = P.shape[:2]
+        self.PW = np.zeros((R, p + _FOLD, p))
+        self.Pb, self.W = self.PW[:, :p], self.PW[:, p:]
+        self.Pb[...] = P
+        self.c = np.zeros(R, dtype=np.int64)
+
+    @property
+    def P(self):
+        """The step matrices P_b - W'W (R, p, p), or None before an RLS
+        fixes its ridge; reading them folds nothing."""
+        if self.Pb is None:
+            return None
+        return self.Pb - np.matmul(self.W.transpose(0, 2, 1), self.W)
 
     def _fix_ridge(self, x) -> None:
         """Fix an RLS's ridge prior P = I/eps at its first regressors x (R, p),
         eps ``epsilon`` (one, or one per replicate) or default_ridge's."""
-        if self.P is None and self.mu is None:
+        if self.Pb is None and self.mu is None:
             if self.epsilon is None:
                 self.epsilon = default_ridge(x, self.plan, self.tau_out)
             eps = np.broadcast_to(self.epsilon, (len(x),))
@@ -263,65 +290,87 @@ class _Lockstep:
     def update(self, rows, x, beta, h, n, Px=None) -> None:
         """One recursion step of replicates `rows` (all when None), row i on
         datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
-        clipped outlier, leaves P alone).  rows may also be one replicate's
-        index, with x of shape (p,), beta, h and n numbers, and Px its
-        ``_quadratic`` if known.  No other replicate is written."""
-        theta, P = self.theta, self.P
+        clipped outlier, leaves P as it is).  rows may also be one
+        replicate's index, with x of shape (p,), beta, h and n numbers, and
+        Px its ``_quadratic`` if known.  No other replicate is written."""
+        theta = self.theta
         if isinstance(rows, int):  # one replicate, on 1-row arrays and numbers
             if self.mu is not None:
                 self.theta_rows[rows] += (self.mu.at(n) * beta) * x
                 return
             v, s = self._quadratic(rows, x) if Px is None else Px
-            k = v[0]  # the updated P times x; P x itself when h = 0
-            if h is None or h:
-                denom = 1.0 + (s if h is None else h * s)
-                if abs(denom) < _SINGULAR_TOL:
-                    raise self._breakdown(n)
-                k = k * (1.0 / denom)
-                dgemm(-1.0, v[0, :, None], (k if h is None else k * h)[None], 1.0,
-                      self.P_fortran[rows], overwrite_c=1)
-            self.theta_rows[rows] += beta * k
+            denom = 1.0 + (s if h is None else h * s)
+            if denom < _SINGULAR_TOL:
+                raise self._breakdown(n, denom)
+            inv = 1.0 / denom
+            self._defer(rows, v * math.sqrt(inv if h is None else h * inv))
+            self.theta_rows[rows] += (beta * inv) * v
             return
         every = rows is None or rows.size == theta.shape[0]
         if self.mu is not None:
             d = (self.mu.at(n) * beta)[:, None] * x
         else:
-            if every:
-                v = np.matmul(P, x[:, :, None])[:, :, 0]
-            else:  # P x of every row, the others against x = 0, and keep ours
-                xr = np.zeros_like(theta)
-                xr[rows] = x
-                v = np.matmul(P, xr[:, :, None])[rows, :, 0]
-            s = np.einsum("rp,rp->r", x, v)
+            PW, p = (self.PW if every else self.PW[rows]), x.shape[1]
+            t = np.matmul(PW, x[:, :, None])[:, :, 0]  # P_b x, then W x
+            v = np.matmul(PW[:, p:].transpose(0, 2, 1), t[:, p:, None])[:, :, 0]
+            np.subtract(t[:, :p], v, out=v)  # P x
+            s = np.matmul(x[:, None, :], v[:, :, None])[:, 0, 0]
             denom = 1.0 + (s if h is None else h * s)
-            if np.fmin.reduce(np.abs(denom)) < _SINGULAR_TOL:  # fmin: a NaN row is no breakdown
-                bad = np.abs(denom) < _SINGULAR_TOL
-                raise self._breakdown(np.broadcast_to(n, bad.shape)[bad].min())
-            k = v * (1.0 / denom)[:, None]  # the updated P times x
-            d = beta[:, None] * k
+            if np.fmin.reduce(denom) < _SINGULAR_TOL:  # fmin: a NaN row is no breakdown
+                first = np.where(denom < _SINGULAR_TOL, n, np.iinfo(np.int64).max).argmin()
+                raise self._breakdown(np.broadcast_to(n, denom.shape)[first], denom[first])
+            inv = 1.0 / denom
+            d = (beta * inv)[:, None] * v  # beta times the updated P x
         if every:
             theta += d
         else:
             theta[rows] += d
-        if self.mu is not None:
-            return
+        if self.mu is None:
+            self._defer(rows, v * np.sqrt(inv if h is None else h * inv)[:, None])
+
+    def _defer(self, rows, w) -> None:
+        """Store w as the next pending vector of replicate rows: one index,
+        with w (p,); an array, with w (rows, p); or None, every replicate,
+        which every_panel steps together, so all hold one count.  Fold
+        those whose W is then full."""
         if rows is None:
-            P -= np.einsum("ri,rj->rij", k if h is None else k * h[:, None], v)
+            c = int(self.c[0])
+            self.W[:, c] = w
+            self.c += 1
+            if c + 1 == _FOLD:
+                self._fold(slice(None))
             return
-        for i, r in enumerate(rows.tolist()):
-            if h is None or h[i]:
-                # P[r] -= k v' as a gemm of inner dimension 1: OpenBLAS keeps it
-                # on one thread, where dger woke two at p = 200, twice as slow.
-                dgemm(-1.0, v[i, :, None], k[i, None], 1.0, self.P_fortran[r], overwrite_c=1)
+        c = self.c[rows]
+        self.W[rows, c] = w
+        c += 1
+        self.c[rows] = c
+        if isinstance(rows, int):
+            if c == _FOLD:
+                self._fold(rows)
+        elif c.max() == _FOLD:
+            self._fold(rows[c == _FOLD])
+
+    def _fold(self, rows) -> None:
+        """P_b -= W'W and W = 0 for replicates rows: an index, an array or
+        a slice."""
+        W = self.W[rows]
+        self.Pb[rows] -= np.matmul(np.swapaxes(W, -1, -2), W)
+        self.W[rows] = 0.0
+        self.c[rows] = 0
 
     def _quadratic(self, r, x):
-        """(P x as a (1, p) row, x'Px) of replicate r at x (p,), as its
-        one-replicate update computes them."""
-        v = np.matmul(self.P[r:r + 1], x[None, :, None])[:, :, 0]
-        return v, float(np.einsum("rp,rp->r", x[None], v)[0])
+        """(P x, x'Px) of replicate r at x (p,): the products the batched
+        update makes for each of its rows, made for this one."""
+        t = self.PW[r] @ x  # P_b x, then W x
+        v = t[:x.shape[0]] - self.W[r].T @ t[x.shape[0]:]
+        return v, float(x @ v)
 
-    def _breakdown(self, step) -> SingularityError:
-        what = f"{'information ' * (self.method == 'samle2')}update denominator vanished"
+    def _breakdown(self, step, denom) -> SingularityError:
+        """The error of a step whose denominator 1 + h x'Px fell below
+        _SINGULAR_TOL: near zero, or negative on a step matrix that is not
+        positive definite, where P - w w' cannot hold the step."""
+        how = "vanished" if abs(denom) < _SINGULAR_TOL else "is negative"
+        what = f"{'information ' * (self.method == 'samle2')}update denominator {how}"
         if not self.marks:  # a single-stream estimator reports the bare cause
             return SingularityError(what)
         return SingularityError(f"{self.method} broke down at step {step}: {what}")
@@ -486,7 +535,10 @@ class _Lockstep:
         if Xw is None:
             return self._under_clip(self.plan.threshold(n, quadratic_form=q * (n - 1) / n))
         steps = n + 1 + np.arange(len(Xw))[:, None]
-        q = np.einsum("bri,rij,brj->br", Xw, self.P[rs], Xw) * (steps - 1) / steps
+        p = Xw.shape[2]
+        t = np.matmul(self.PW[rs], Xw[..., None])[..., 0]  # P_b x, then W x, of each datum
+        q = (np.einsum("brp,brp->br", Xw, t[..., :p])
+             - np.einsum("brm,brm->br", t[..., p:], t[..., p:])) * (steps - 1) / steps
         return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
 
     def _clip(self, rows, e, tau, check):
@@ -570,7 +622,7 @@ class _Gate:
         """
         x = np.asarray(x, dtype=np.float64)
         k = self._k
-        if k.P is None and k.mu is None:  # RLS fixes its ridge at the first datum
+        if k.Pb is None and k.mu is None:  # RLS fixes its ridge at the first datum
             k.epsilon = self.epsilon
             k._fix_ridge(x[None])
             self.epsilon = float(np.ravel(k.epsilon)[0])
@@ -657,7 +709,7 @@ class RLS(_Gate):
     """
 
     kind = "rls"
-    _saved = _Gate._saved + ("epsilon", "P")
+    _saved = _Gate._saved + ("epsilon", "P", "P_base", "pending")
 
     def __init__(self, p: int, epsilon: float | None = None, theta0=None, inv_gram0=None,
                  sigma: float | None = None, plan: ThresholdPlan | None = None,
@@ -668,7 +720,18 @@ class RLS(_Gate):
 
     @property
     def P(self) -> np.ndarray | None:
-        return None if self._k.P is None else self._k.P[0]
+        return None if self._k.Pb is None else self._k.P[0]
+
+    @property
+    def P_base(self) -> np.ndarray | None:
+        """The base of P = P_base - sum of w w' over ``pending``."""
+        return None if self._k.Pb is None else self._k.Pb[0]
+
+    @property
+    def pending(self) -> np.ndarray | None:
+        """The kept steps' vectors w not yet folded into P_base, one a row."""
+        k = self._k
+        return None if k.Pb is None else k.W[0, :k.c[0]]
 
     @property
     def C(self) -> np.ndarray:
@@ -758,12 +821,17 @@ class SecondOrderCensoredMLE(_CensoredMLE, RLS):
 # ---------------------------------------------------------------------
 
 
-def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
+def kaczmarz_run(X, y, iters: int, seed, callback=None, passes: int = 1) -> np.ndarray:
     """Randomized Kaczmarz sweep with energy-proportional row sampling.
 
     Row i is drawn with probability ||x_i||^2 / ||X||_F^2 and theta is
     projected onto its hyperplane.  Deterministic given seed.  The
     optional callback(k, theta) observes the iterate after draw k.
+
+    With passes > 1 the system is X and y stacked passes times, without
+    the copies: the draws range over the passes * D stacked rows, with
+    the row energies tiled, and row i reads data row i mod D.  The draws
+    and the iterate are bitwise those of the sweep of the tiled arrays.
 
     seed is a sequence of R seeds, giving an (R, p) iterate whose row r
     is bitwise the sweep of seed r alone: all R sweeps draw in lockstep,
@@ -772,14 +840,16 @@ def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
     """
     if np.ndim(seed) == 0:  # row 0 of the lockstep sweep of [seed]
         observe = None if callback is None else (lambda k, theta: callback(k, theta[0]))
-        return kaczmarz_run(X, y, iters, [seed], observe)[0]
+        return kaczmarz_run(X, y, iters, [seed], observe, passes)[0]
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    D = X.shape[0]
     norms_sq = np.einsum("ij,ij->i", X, X)
     if np.any(norms_sq == 0.0):
         raise DomainError("kaczmarz_run requires no zero rows")
-    probs = norms_sq / norms_sq.sum()
-    draws = np.stack([substream(s).choice(X.shape[0], size=int(iters), p=probs)
+    probs = np.tile(norms_sq, passes)  # energies of the stacked rows of every pass
+    probs /= probs.sum()
+    draws = np.stack([substream(s).choice(probs.size, size=int(iters), p=probs)
                       for s in seed], axis=1)
     theta = np.zeros((draws.shape[1], X.shape[1]), dtype=np.float64)
     # Replicate r's x'theta is the (1, p) @ (p, 1) product of its own row
@@ -788,7 +858,7 @@ def kaczmarz_run(X, y, iters: int, seed, callback=None) -> np.ndarray:
     state, col = theta[:, None, :], theta[:, :, None]
     block = max(1, _PANEL // draws.shape[1])
     for a in range(0, draws.shape[0], block):
-        picked = draws[a:a + block]
+        picked = draws[a:a + block] % D
         rows, resp, energy = X[picked], y[picked], norms_sq[picked]
         rows, resp, energy = rows[:, :, None], resp[..., None, None], energy[..., None, None]
         for k, (row, y_k, e_k) in enumerate(zip(rows, resp, energy), start=a + 1):
@@ -827,8 +897,12 @@ def from_snapshot(doc: dict):
         if name != "kind":
             state[name] = value
     est = object.__new__(cls)
+    P = state.pop("P", None)  # what P_base and pending add up to
     _Gate.__init__(est, state.pop("theta"), state.pop("sigma"), None, state.pop("tau_out"),
-                   state.pop("mu", None), state.pop("P", None))
+                   state.pop("mu", None), state.pop("P_base", P))
+    pending = state.pop("pending", None)
+    for w in () if pending is None else pending:
+        est._k._defer(0, w)
     for name, value in state.items():
         setattr(est, name, value)
     return est

@@ -313,13 +313,9 @@ def _dataset(cfg: ExperimentConfig):
 
 def _source_arrays(cfg: ExperimentConfig, replicate_seed: int, data=None):
     """(X, y, theta_o, sigma) for one replicate; data is its (X, y) if drawn
-    already.  A dataset's X and y are tiled ``passes`` times."""
+    already.  A dataset's rows are read ``passes`` times by the caller."""
     if cfg.dataset_path is not None:
-        X, y, theta_o, sigma = _dataset(cfg)
-        if cfg.passes > 1:
-            X = np.tile(X, (cfg.passes, 1))
-            y = np.tile(y, cfg.passes)
-        return X, y, theta_o, sigma
+        return _dataset(cfg)
     inst = cfg.stream.pinned().with_seed(replicate_seed)
     X, y = materialize(inst) if data is None else data
     return X, y, inst.resolved_theta(), inst.sigma
@@ -520,7 +516,7 @@ def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
     if cfg.dataset_path is None and len(seeds) > 1:
         return [_run_kaczmarz(cfg, [s])[0] for s in seeds]
     X, y, theta_o, _ = _source_arrays(cfg, seeds[0], data)
-    D, p = X.shape
+    D, p = cfg.passes * X.shape[0], X.shape[1]  # the stacked rows of every pass
     mark_set = set(_schedule_for(cfg, D))
     marks, mses = [], []
 
@@ -530,7 +526,7 @@ def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
             marks.append(k)
             mses.append(np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0])
 
-    final = kaczmarz_run(X, y, iters=D, seed=seeds, callback=observe)
+    final = kaczmarz_run(X, y, iters=D, seed=seeds, callback=observe, passes=cfg.passes)
     mults = [D * p + k * (2 * p + 1) for k in marks]  # row-energy table, then 2p+1 a draw
     ratios = [0.0] * len(marks)
     return [_trace(cfg, s, marks, [m[r] for m in mses], ratios, mults, theta_o, D, final[r])
@@ -539,6 +535,8 @@ def _run_kaczmarz(cfg: ExperimentConfig, seeds, data=None) -> list[TrialTrace]:
 
 def _run_batch_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> TrialTrace:
     X, y, theta_o, _ = _source_arrays(cfg, replicate_seed, data)
+    if cfg.passes > 1:  # a sketch is defined on the rows of every pass, stacked
+        X, y = np.tile(X, (cfg.passes, 1)), np.tile(y, cfg.passes)
     D, p = X.shape
     d = max(p, int(round(cfg.ratio * D)))
     if cfg.method == "srht":

@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
-from .numkit.gaussian import interval_log_prob
+from .numkit.gaussian import erfc, erfcx, interval_log_prob
 
 __all__ = [
     "CensoredTerm",
@@ -120,7 +119,7 @@ def _interval_scalars(resid, offsets, sigma):
     z = np.abs(resid) / sigma + offsets
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     zphi = z * phi
-    half = 0.5 * special.erfc(z / _SQRT_2)
+    half = 0.5 * erfc(z / _SQRT_2)
     p = half[0] - half[1]
     ratio = (phi[0] - phi[1]) / p
     curve = (zphi[1] - zphi[0]) / p
@@ -131,7 +130,7 @@ def _interval_scalars(resid, offsets, sigma):
         # beta -> 1/(sigma*mills(z_l)) ~ z_l/sigma.
         z_l, z_u = z[0], z[1]
         r = np.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
-        mills = _SQRT_HALF_PI * special.erfcx(z / _SQRT_2)  # Q(z)/phi(z)
+        mills = _SQRT_HALF_PI * erfcx(z / _SQRT_2)  # Q(z)/phi(z)
         scaled_p = mills[0] - r * mills[1]  # P / phi(z_l)
         ratio = np.where(tail, (1.0 - r) / scaled_p, ratio)
         curve = np.where(tail, (z_u * r - z_l) / scaled_p, curve)

@@ -4,7 +4,6 @@ symmetric positive definite solves."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import DomainError, SingularityError
 
@@ -84,7 +83,8 @@ def _stages(x, h, stop, scratch):
 
 
 def cholesky_solve(A, b):
-    """Solve A x = b for symmetric positive definite A.
+    """Solve A x = b for symmetric positive definite A: A = L L' by
+    Cholesky, then the two triangular systems L z = b and L' x = z.
 
     Raises
     ------
@@ -94,7 +94,7 @@ def cholesky_solve(A, b):
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(f"matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))

@@ -13,11 +13,12 @@ beats fast and clever in an oracle.
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from cendre.censor import robust_decide
 from cendre.errors import SingularityError
 from cendre.likelihood import CensoredTerm, evaluate
+from cendre.numkit.gaussian import erfc, erfcx
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # The likelihood's float64 constants, for the bitwise reference below.
@@ -109,7 +110,9 @@ def score_info_gathered(censored, y_or_anchor, prediction, tau, sigma):
     Mills ratios once both sit beyond 6 in one tail, and the results
     scattered back over the uncensored beta = resid/sigma^2 and
     h = 1/sigma^2.  Every element sees the operations, in order, of
-    ``cendre.likelihood.score_info``, for a bitwise comparison.
+    ``cendre.likelihood.score_info``, for a bitwise comparison; it takes
+    erfc and erfcx from the package too, whose accuracy
+    ``test_special_functions.py`` checks against scipy.
     """
     censored = np.asarray(censored, dtype=bool)
     inv_var = 1.0 / (sigma * sigma)
@@ -126,14 +129,14 @@ def score_info_gathered(censored, y_or_anchor, prediction, tau, sigma):
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_l = INV_SQRT_2PI * np.exp(-0.5 * z_l * z_l)
         phi_u = INV_SQRT_2PI * np.exp(-0.5 * z_u * z_u)
-        p = 0.5 * special.erfc(z_l / SQRT_2) - 0.5 * special.erfc(z_u / SQRT_2)
+        p = 0.5 * erfc(z_l / SQRT_2) - 0.5 * erfc(z_u / SQRT_2)
         ratio = (phi_l - phi_u) / p
         curve = (z_u * phi_u - z_l * phi_l) / p
         tail = z_l > 6.0
         if tail.any():
             r = np.exp(-0.5 * (z_u - z_l) * (z_u + z_l))
-            mills_l = SQRT_HALF_PI * special.erfcx(z_l / SQRT_2)
-            mills_u = SQRT_HALF_PI * special.erfcx(z_u / SQRT_2)
+            mills_l = SQRT_HALF_PI * erfcx(z_l / SQRT_2)
+            mills_u = SQRT_HALF_PI * erfcx(z_u / SQRT_2)
             scaled_p = mills_l - r * mills_u
             ratio = np.where(tail, (1.0 - r) / scaled_p, ratio)
             curve = np.where(tail, (z_u * r - z_l) / scaled_p, curve)

@@ -15,6 +15,7 @@ import pytest
 from cendre.censor import CensorDecision, ThresholdPlan
 from cendre.errors import ConfigError, DomainError, SingularityError, UsageError
 from cendre.estimators import (
+    _FOLD,
     _PANEL,
     LMS,
     RLS,
@@ -130,6 +131,24 @@ def test_rls_default_ridge_from_first_regressor():
     assert est.epsilon == pytest.approx(1e-2 * 4.0 / 3.0)
     with pytest.raises(DomainError):
         RLS(3).step(1.0, [0.0, 0.0, 0.0])
+
+
+def test_reading_the_step_matrix_folds_nothing():
+    # P is held as P_base less the outer products of the pending vectors;
+    # reading P, C or a snapshot leaves both as they are, so a twin that is
+    # never read stays bitwise in step.
+    X, y, _ = _stream(25, 3 * _FOLD, 3)
+    read, twin = RLS(3, epsilon=0.5), RLS(3, epsilon=0.5)
+    for n in range(3 * _FOLD):
+        read.step(y[n], X[n])
+        twin.step(y[n], X[n])
+        pending = read.pending
+        assert len(pending) == (n + 1) % _FOLD
+        np.testing.assert_array_equal(read.P, read.P_base - pending.T @ pending)
+        assert np.array_equal(read.P, read.P.T)
+        read.C, read.snapshot()
+        assert read.theta.tobytes() == twin.theta.tobytes()
+    assert read.P.tobytes() == twin.P.tobytes()
 
 
 def test_step_matrix_scaling():
@@ -479,6 +498,22 @@ def test_kaczmarz_lockstep_block_memory_does_not_grow_with_replicates():
     finally:
         tracemalloc.stop()
     assert peak < 4 * _PANEL * 50 * 8
+
+
+def test_kaczmarz_passes_read_rows_modulo_d():
+    # Three passes over the rows sweep the stacked system without stacking
+    # it: the same draws, and bitwise the iterates, of the tiled arrays.
+    rng = substream(65)
+    X = rng.standard_normal((700, 4))
+    y = X @ rng.standard_normal(4) + 0.1 * rng.standard_normal(700)
+    seeds = [5, 9]
+    walked, tiled = [], []
+    got = kaczmarz_run(X, y, iters=2_100, seed=seeds, passes=3,
+                       callback=lambda k, th: walked.append(th.copy()))
+    want = kaczmarz_run(np.tile(X, (3, 1)), np.tile(y, 3), iters=2_100, seed=seeds,
+                        callback=lambda k, th: tiled.append(th.copy()))
+    assert got.tobytes() == want.tobytes()
+    assert np.stack(walked).tobytes() == np.stack(tiled).tobytes()
 
 
 def test_regret_hand_case():

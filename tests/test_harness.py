@@ -420,6 +420,24 @@ def test_dataset_passes_are_walked_not_tiled(tmp_path):
     assert many - one <= 1_024 * 21 * 8 + 1_024
 
 
+def test_kaczmarz_dataset_passes_are_not_tiled(tmp_path):
+    # Kaczmarz draws over the rows of every pass but reads data row i mod D.
+    # What grows with the pass count is a few vectors of one number per
+    # stacked row: the tiled energies, numpy's cumulative distribution and
+    # uniforms inside choice, and the draws.  Tiling X and y added 21 such
+    # vectors here (9.99 MB at 16 passes against 0.44 MB at one).
+    f = tmp_path / "d.csv"
+    f.write_text(",".join(f"x{j}" for j in range(20)) + ",y\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in substream(81).standard_normal((3_000, 21))))
+    doc = {"schema": 1, "method": "kaczmarz", "seed": 3,
+           "dataset": {"path": str(f), "target_column": "y"}}
+    monte_carlo(ExperimentConfig.from_dict(doc))  # load the dataset
+    one = _traced_peak(ExperimentConfig.from_dict(doc))
+    many = _traced_peak(ExperimentConfig.from_dict({**doc, "passes": 16}))
+    assert many - one <= 4 * 16 * 3_000 * 8
+
+
 def test_single_stream_panels_are_not_copied():
     # The lockstep reads the generator's panels in place and lets go of
     # each before the next is drawn: the panel being drawn is the only one

@@ -569,6 +569,8 @@ def test_rac_rls_ac_online_tracks_its_target():
 def test_step_matrix_stays_symmetric_positive_definite(recorded, method, R, D):
     # rls with R = 50 and D = 20,000 is 10^6 replicate steps of the
     # Sherman-Morrison update; R = 1 takes the one-row update of a lone replicate.
+    # rls and rac-rls start from the exactly symmetric ridge prior, and
+    # every step and fold keeps the step matrix exactly symmetric.
     stream = StreamSpec(p=8, D=D, sigma=1.0, seed=17, outlier_prob=0.05, outlier_var=25.0)
     over = {"rac-rls": {"tau_out": 3.0, "censor": {"kind": "ac-offline", "target_pi": 0.7}},
             "samle2": {"K": 40, "censor": {"kind": "constant", "tau": 1.0}}}.get(method, {})
@@ -577,3 +579,5 @@ def test_step_matrix_stays_symmetric_positive_definite(recorded, method, R, D):
     for P in run.P:
         np.linalg.cholesky(P)
         assert np.abs(P - P.T).max() / np.abs(P).max() < 1e-8
+        if method != "samle2":
+            assert np.array_equal(P, P.T)
