@@ -21,15 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, config_section, read_field
-from .estimators import batch_lse
+from .estimators import _PANEL, batch_lse
 from .numkit.rng import derive, substream
 
 __all__ = ["StreamSpec", "toeplitz_cov", "generate", "materialize", "full_lse_mse"]
 
 # Substream identities for each random ingredient.
 _THETA, _DESIGN, _NOISE, _TAIL, _OUT_FLAG, _OUT_MAG = range(6)
-
-_BLOCK = 1024
 
 # Keys of a config's stream section, and of its cov object by kind.
 _STREAM_FIELDS = ("p", "D", "sigma", "seed", "design", "cov", "df", "theta", "outliers")
@@ -233,7 +231,7 @@ def _panels(spec: StreamSpec):
 
     remaining = spec.D
     while remaining > 0:
-        m = min(_BLOCK, remaining)
+        m = min(_PANEL, remaining)
         remaining -= m
         yield draw(m)
 
@@ -244,8 +242,8 @@ def generate(spec: StreamSpec, panels: bool = False):
     y is a float and x a length-p array; storage stays O(panel * p)
     regardless of D, and the values are bitwise identical to
     ``materialize`` of the same spec.  With panels=True the walk yields
-    the internal (y, X) panels themselves, up to 1024 consecutive data
-    each, instead of one datum at a time.
+    the internal (y, X) panels themselves, up to ``_PANEL`` (256)
+    consecutive data each, instead of one datum at a time.
     """
     if panels:
         yield from _panels(spec)

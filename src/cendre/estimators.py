@@ -84,7 +84,11 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_PANEL = 1024  # rows a block of data holds in memory; R Kaczmarz replicates share one
+# Rows a panel of data holds in memory: the stream generator's block, the
+# harness's panels (R replicates side by side), a Kaczmarz block (shared by
+# its R sweeps) and ingest's column move.  A constant, never chosen per run:
+# products round differently by operand shape (see datagen._panels).
+_PANEL = 256
 _FOLD = 16  # kept steps a step matrix holds as pending vectors before they fold into its base
 
 
@@ -267,6 +271,7 @@ class _Lockstep:
         self.Pb, self.W = self.PW[:, :p], self.PW[:, p:]
         self.Pb[...] = P
         self.c = np.zeros(R, dtype=np.int64)
+        self._WtW = np.empty((R, p, p))  # a fold's W'W, written in place
 
     @property
     def P(self):
@@ -354,7 +359,9 @@ class _Lockstep:
         """P_b -= W'W and W = 0 for replicates rows: an index, an array or
         a slice."""
         W = self.W[rows]
-        self.Pb[rows] -= np.matmul(np.swapaxes(W, -1, -2), W)
+        WtW = self._WtW[:len(rows)] if isinstance(rows, np.ndarray) else self._WtW[rows]
+        np.matmul(np.swapaxes(W, -1, -2), W, out=WtW)
+        self.Pb[rows] -= WtW
         self.W[rows] = 0.0
         self.c[rows] = 0
 

@@ -531,22 +531,24 @@ def test_a12_multiply_ledger_exact_and_wall_clock_shrinks():
         warm_full.step(float(y[n]), X[n])
         warm_gated.step(float(y[n]), X[n])
 
-    full = RLS(p)
-    t0 = time.perf_counter()
-    for n in range(D):
-        full.step(float(y[n]), X[n])
-    wall_full = time.perf_counter() - t0
+    def sweep(est):
+        t0 = time.perf_counter()
+        for n in range(D):
+            est.step(float(y[n]), X[n])
+        return time.perf_counter() - t0
 
-    gated = RLS(p, sigma=1.0, plan=ThresholdPlan.ac_offline(p, 0.9))
-    t0 = time.perf_counter()
-    for n in range(D):
-        gated.step(float(y[n]), X[n])
-    wall_gated = time.perf_counter() - t0
+    # Each side's time is its best of three sweeps, alternated, so that a
+    # slowdown that lands on one sweep does not decide the ratio.
+    wall_full = wall_gated = math.inf
+    for _ in range(3):
+        full, gated = RLS(p), RLS(p, sigma=1.0, plan=plan)
+        wall_full = min(wall_full, sweep(full))
+        wall_gated = min(wall_gated, sweep(gated))
 
-    d = gated.kept_count
-    assert 0.05 * D <= d <= 0.2 * D, f"kept count {d} far from the 10% target"
-    assert gated.multiply_count == d * (2 * p * p + 3 * p) + D * p
-    assert full.multiply_count == D * (2 * p * p + 4 * p)
+        d = gated.kept_count
+        assert 0.05 * D <= d <= 0.2 * D, f"kept count {d} far from the 10% target"
+        assert gated.multiply_count == d * (2 * p * p + 3 * p) + D * p
+        assert full.multiply_count == D * (2 * p * p + 4 * p)
     assert wall_full >= 3.0 * wall_gated, (
         f"wall ratio {wall_full / wall_gated:.2f} below 3 "
         f"({wall_full:.3f}s vs {wall_gated:.3f}s)")

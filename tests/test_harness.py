@@ -13,7 +13,7 @@ import pytest
 from cendre import harness
 from cendre.datagen import StreamSpec
 from cendre.errors import ConfigError, DomainError, SingularityError
-from cendre.estimators import StepSize
+from cendre.estimators import _PANEL, StepSize
 from cendre.harness import (
     ExperimentConfig,
     geometric_schedule,
@@ -405,7 +405,7 @@ def _traced_peak(cfg) -> int:
 
 def test_dataset_passes_are_walked_not_tiled(tmp_path):
     # Once the dataset is loaded, more passes hold at most the one panel
-    # that crosses a pass boundary: 1,024 rows of 20 x columns and y, and
+    # that crosses a pass boundary: _PANEL rows of 20 x columns and y, and
     # its two array objects.  Tiling held all passes at once.
     f = tmp_path / "d.csv"
     f.write_text(",".join(f"x{j}" for j in range(20)) + ",y\n" + "".join(
@@ -417,7 +417,7 @@ def test_dataset_passes_are_walked_not_tiled(tmp_path):
     monte_carlo(ExperimentConfig.from_dict(doc))  # load the dataset
     one = _traced_peak(ExperimentConfig.from_dict(doc))
     many = _traced_peak(ExperimentConfig.from_dict({**doc, "passes": 16}))
-    assert many - one <= 1_024 * 21 * 8 + 1_024
+    assert many - one <= _PANEL * 21 * 8 + 1_024
 
 
 def test_kaczmarz_dataset_passes_are_not_tiled(tmp_path):
@@ -443,10 +443,24 @@ def test_single_stream_panels_are_not_copied():
     # each before the next is drawn: the panel being drawn is the only one
     # alive, beside the step matrix.  A second buffer made it three.
     p = 50
-    cfg = _cfg(stream=_stream(p=p, D=4 * 1_024 + 100),
+    cfg = _cfg(stream=_stream(p=p, D=4 * _PANEL + 100),
                censor={"kind": "ac-offline", "target_pi": 0.9})
     monte_carlo(cfg)
-    assert _traced_peak(cfg) < 2 * 1_024 * p * 8
+    assert _traced_peak(cfg) < 2 * _PANEL * p * 8
+
+
+def test_replicate_streams_share_one_panel_buffer():
+    # R > 1 streams are drawn into one (m, R, p) buffer, m at most _PANEL,
+    # that each panel overwrites.  Beside it at the peak: the panel being
+    # drawn, the step matrices with their pending vectors and fold output,
+    # and NAC's per-panel offsets (2.0 buffers in all at R = 25, p = 30).
+    R, p = 25, 30
+    cfg = ExperimentConfig.from_dict({
+        "schema": 1, "method": "samle2", "seed": 5, "replicates": R, "K": 50,
+        "stream": {"p": p, "D": 4 * _PANEL + 100, "sigma": 1.0},
+        "censor": {"kind": "constant", "tau": 1.5}})
+    monte_carlo(cfg)
+    assert _traced_peak(cfg) < 2.5 * _PANEL * R * p * 8
 
 
 def _write_fixed_width(path, seed, rows):

@@ -226,8 +226,8 @@ def test_warm_up_filling_a_panel(method):
 
 @pytest.mark.parametrize("method", ["ac-rls", "rls", "samle2", "rac-lms"])
 def test_lockstep_dataset_two_passes(tmp_path, monkeypatch, method):
-    # The passes are walked, not tiled: at D = 300 the first 1024-row
-    # panel crosses the pass boundary, at D = 1500 the second one does.
+    # The passes are walked, not tiled: at D = 300 the second 256-row
+    # panel crosses the pass boundary, at D = 1500 the sixth one does.
     for D in (300, 1500):
         rng = substream(404)
         X = rng.standard_normal((D, 3))
