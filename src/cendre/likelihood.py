@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numkit.gaussian import erfc, erfcx, interval_log_prob
+from .numkit.gaussian import _INV_SQRT_2PI, _SQRT_2, erfc, erfcx, interval_log_prob
 
 __all__ = [
     "CensoredTerm",
@@ -47,8 +47,6 @@ __all__ = [
     "interval_offsets",
 ]
 
-_INV_SQRT_2PI = 0.3989422804014327
-_SQRT_2 = 1.4142135623730951
 _SQRT_HALF_PI = 1.2533141373155003  # sqrt(pi/2)
 _TAIL_SWITCH = 6.0
 _SIGNS = np.array([-1.0, 1.0])

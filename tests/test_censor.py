@@ -24,6 +24,7 @@ from cendre.censor import (
     robust_decide,
 )
 from cendre.errors import ConfigError, DomainError
+from cendre.estimators import preliminary_fit
 from cendre.numkit import gauss_q, gauss_q_inv, substream
 
 import oracles
@@ -206,6 +207,25 @@ def test_clt_calibration_model():
             censored += int(np.sum(np.abs(e) < tau))
         emp = censored / (runs * per_run)
         assert emp == pytest.approx(censor_prob_clt(tau, p, K), abs=0.03)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 3: censor_prob_clt takes the mean leverage as p/K; "
+                          "a fit on K Gaussian rows has p/(K-p-1)",
+                   raises=AssertionError, strict=True)
+def test_clt_censor_rate_after_a_real_preliminary_fit():
+    # censor75's operating point: each run fits preliminary_fit on K real
+    # rows of a fresh Gaussian stream, then censors fresh data against it.
+    rng = substream(2026, 902)
+    p, K, tau, runs, per_run = 30, 50, 1.5, 200, 500
+    censored = 0
+    for _ in range(runs):
+        theta = rng.standard_normal(p)
+        X = rng.standard_normal((K + per_run, p))
+        y = X @ theta + rng.standard_normal(K + per_run)
+        fit = preliminary_fit(zip(y[:K], X[:K]))
+        censored += int(np.sum(np.abs(y[K:] - X[K:] @ fit.theta) < tau))
+    emp = censored / (runs * per_run)
+    assert emp == pytest.approx(censor_prob_clt(tau, p, K), abs=0.03)
 
 
 # ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The package runs on numpy and the standard library alone.
 
-scipy stays installed for the test oracles, so each check runs in a fresh
-interpreter with ``sys.modules["scipy"] = None``: any import of scipy, or
-of one of its submodules, then raises ImportError.
+scipy stays installed for the test oracles, so the command checks run in a
+fresh interpreter with ``sys.modules["scipy"] = None``: any import of scipy,
+or of one of its submodules, then raises ImportError.
 """
 
 import json
@@ -38,6 +38,26 @@ def test_import_cendre_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs the statement put in for {}, then prints the top-level names of the
+# loaded modules that live under site-packages.
+_SITE_PACKAGES = ("import site, sys; roots = tuple(site.getsitepackages()) + "
+                  "(site.getusersitepackages(),); {}; "
+                  "print(*{{n.split('.')[0] for n, m in list(sys.modules.items()) "
+                  "if (getattr(m, '__file__', None) or '').startswith(roots)}})")
+
+
+def test_import_cendre_cli_loads_no_third_party_package_but_numpy():
+    # A bare interpreter may already hold packages that .pth files load.
+    def loaded(imports):
+        proc = subprocess.run([sys.executable, "-c", _SITE_PACKAGES.format(imports)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    assert loaded("import cendre.cli") - loaded("pass") == {"numpy"}
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
