@@ -3,15 +3,14 @@
 The four Gaussian functions accept scalars or arrays and are accurate
 enough that threshold calibration never inherits special-function error:
 Q is computed through erfc (<= 1e-14 relative), the quantile is polished
-by a Newton step on Q itself, and interval probabilities are assembled in
-log space so that intervals sitting 30+ sigmas out still come back finite.
+by a Newton step on Q itself, and interval probabilities right of zero
+are differences of Mills ratios Q/phi, finite 30+ sigmas out.
 
 The special functions under them need only numpy and the standard
 library: ``erfc`` is libm's, one element at a time; ``erfcx`` scales it
-by exp(x^2), or takes Laplace's continued fraction in the far tail;
+by exp(x^2), or takes Laplace's continued fraction in the far tail; and
 ``ndtri`` is ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241, 1988),
-good to about 1e-16; and ``log_ndtr`` reads the lower tail through erfcx
-so that it never underflows.
+good to about 1e-16.
 """
 
 from __future__ import annotations
@@ -24,11 +23,13 @@ import numpy as np
 from ..errors import DomainError
 
 __all__ = ["gauss_pdf", "gauss_q", "gauss_q_inv", "interval_log_prob",
-           "erfc", "erfcx", "ndtri", "log_ndtr"]
+           "erfc", "erfcx", "ndtri"]
 
 _INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2*pi)
 _SQRT_2 = 1.4142135623730951
 _INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi)
+_SQRT_HALF_PI = 1.2533141373155003  # sqrt(pi/2)
+_LOG_INV_SQRT_2PI = -0.9189385332046728  # log(1/sqrt(2*pi))
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter of a double into two halves
 _CF_FROM = 8.0  # erfcx switches to the continued fraction here ...
 _CF_TERMS = 12  # ... which this many terms take to full double precision
@@ -82,20 +83,6 @@ def ndtri(p):
     return _elementwise(_STANDARD_NORMAL.inv_cdf, p)
 
 
-def _log_ndtr(x: float) -> float:
-    if x > 0.0:
-        return math.log1p(-0.5 * math.erfc(x / _SQRT_2))
-    half = 0.5 * _erfcx(-x / _SQRT_2)
-    return (math.log(half) if half > 0.0 else -math.inf) - 0.5 * x * x
-
-
-def log_ndtr(x):
-    """log Phi(x), elementwise: log1p(-Q(x)) above zero, and
-    log(erfcx(-x/sqrt 2)/2) - x^2/2 at or below it, which stays finite
-    however far out x lies."""
-    return _elementwise(_log_ndtr, x)
-
-
 def gauss_pdf(t):
     """Standard normal density phi(t) = exp(-t^2/2)/sqrt(2*pi)."""
     t = np.asarray(t, dtype=np.float64)
@@ -127,25 +114,30 @@ def gauss_q_inv(u):
     return t if t.ndim else float(t)
 
 
-def _log1mexp(a):
-    """log(1 - exp(a)) for a < 0, stable near both ends."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    small = a < -0.6931471805599453  # log(1/2)
-    out[small] = np.log1p(-np.exp(a[small]))
-    rest = ~small
-    out[rest] = np.log(-np.expm1(a[rest]))
-    return out
+def _interval_log_prob(lo: float, hi: float) -> float:
+    if lo + hi < 0.0:  # mirror: the probability is even under (lo, hi) -> (-hi, -lo)
+        lo, hi = -hi, -lo
+    if lo < 0.0:  # across zero: two positive erf halves, or one minus both tails past 1/2
+        a, b = -lo / _SQRT_2, hi / _SQRT_2
+        p = 0.5 * (math.erf(a) + math.erf(b))
+        return math.log(p) if p < 0.5 else math.log1p(-0.5 * (math.erfc(a) + math.erfc(b)))
+    # P = phi(lo) (m(lo) - r m(hi)), m = Q/phi the Mills ratio, r = phi(hi)/phi(lo)
+    r = math.exp(-0.5 * (hi - lo) * (hi + lo))
+    m = _SQRT_HALF_PI * (_erfcx(lo / _SQRT_2) - r * _erfcx(hi / _SQRT_2))
+    return math.log(m) - 0.5 * lo * lo + _LOG_INV_SQRT_2PI if m > 0.0 else -math.inf
 
 
 def interval_log_prob(z_l, z_u):
     """log P(z_l < Z < z_u) = log(Q(z_l) - Q(z_u)), without cancellation.
 
-    The interval is mirrored into the right half-line (the result is
-    symmetric under (z_l, z_u) -> (-z_u, -z_l)), then assembled from
-    log-CDF values: log Q(z_l) + log(1 - Q(z_u)/Q(z_l)).  log_ndtr
-    handles the tail asymptotics, so the result stays finite for
-    |z| up to 35 and beyond.
+    The interval is mirrored so that its midpoint is >= 0 (the result is
+    symmetric under (z_l, z_u) -> (-z_u, -z_l)).  Across zero the mass is
+    (erf(-z_l/sqrt 2) + erf(z_u/sqrt 2))/2, two positive terms, or above
+    1/2 one minus the two tails, through log1p.  Right of zero it is the
+    censored score's tail form phi(z_l) (m(z_l) - r m(z_u)), m = Q/phi the
+    Mills ratio through erfcx and r = phi(z_u)/phi(z_l), whose log stays
+    finite for |z| up to 35 and beyond; where that difference rounds to
+    zero or below, -inf.
     """
     z_l = np.asarray(z_l, dtype=np.float64)
     z_u = np.asarray(z_u, dtype=np.float64)
@@ -153,11 +145,7 @@ def interval_log_prob(z_l, z_u):
         raise DomainError("interval bounds must be finite")
     if np.any(z_l >= z_u):
         raise DomainError("interval_log_prob requires z_l < z_u")
-    # Mirror so the interval midpoint is >= 0; Q values then sit in (0, 1/2].
-    flip = (z_l + z_u) < 0.0
-    lo = np.where(flip, -z_u, z_l)
-    hi = np.where(flip, -z_l, z_u)
-    log_q_lo = log_ndtr(-lo)
-    log_q_hi = log_ndtr(-hi)
-    out = log_q_lo + _log1mexp(log_q_hi - log_q_lo)
+    lo, hi = np.broadcast_arrays(z_l, z_u)
+    out = np.fromiter(map(_interval_log_prob, lo.ravel().tolist(), hi.ravel().tolist()),
+                      np.float64, lo.size).reshape(lo.shape)
     return out if out.ndim else float(out)

@@ -353,6 +353,35 @@ def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
         assert "banana" in err and axis in err
 
 
+def test_sweep_ratio_axis_on_a_sketch(tmp_path):
+    doc = _basic_doc(method="srht", ratio=0.5, replicates=1)
+    del doc["censor"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(_run_config(tmp_path, doc)), "--out", str(out),
+                 "--axis", "ratio", "--values", "0.25,1"]) == 0
+    summary = json.loads((out / "sweep.json").read_text())
+    assert {label: point["config"]["ratio"] for label, point in summary["points"].items()} \
+        == {"0.25": 0.25, "1": 1.0}
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(value, n) for _, value, _, _, n, *_ in rows] == [("0.25", "32"), ("1", "128")]
+
+
+@pytest.mark.parametrize("over, values, message", [
+    ({"censor": {"kind": "ac-offline", "target_pi": 0.5}}, "0.5,1.5", "outside (0, 1]"),
+    ({"censor": {"kind": "ac-offline", "target_pi": 0.5}}, "0", "outside (0, 1]"),
+    ({"method": "rls", "censor": None}, "0.5", "has no d/D axis"),
+    ({}, " , ", "--values is empty"),
+])
+def test_sweep_ratio_axis_errors(tmp_path, capsys, over, values, message):
+    doc = {key: value for key, value in _basic_doc(replicates=1, **over).items()
+           if value is not None}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(_run_config(tmp_path, doc)), "--out", str(out),
+                 "--axis", "ratio", "--values", values]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------

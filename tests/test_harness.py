@@ -221,6 +221,29 @@ def test_to_dict_without_raw():
     assert rebuilt.stream.D == cfg.stream.D
 
 
+def test_to_dict_dataset_section(tmp_path):
+    rng = substream(79)
+    X = rng.standard_normal((60, 2))
+    y = X @ np.array([1.0, -0.5]) + 0.1 * rng.standard_normal(60)
+    f = tmp_path / "d.csv"
+    rows = zip(X.tolist(), y.tolist())
+    f.write_text("a;y;b\n" + "".join(f"{a};{t};{b}\n" for (a, b), t in rows))
+    options = {"target_column": "y", "delimiter": ";", "add_intercept": True,
+               "standardize": True}
+    cfg = ExperimentConfig(method="rls", seed=4, replicates=2, dataset_path=str(f),
+                           dataset_options=options, passes=2)
+    doc = cfg.to_dict()
+    assert doc["dataset"] == {"path": str(f), **options}
+    assert doc["passes"] == 2 and "stream" not in doc
+    rebuilt = ExperimentConfig.from_dict(doc)
+    assert (rebuilt.dataset_path, rebuilt.dataset_options, rebuilt.passes) == \
+        (cfg.dataset_path, options, 2)
+    assert rebuilt.to_dict() == doc
+    summary = monte_carlo(cfg).summary_doc()
+    assert summary["config"] == doc
+    assert summary["aggregate"]["n"][-1] == 120
+
+
 # ---------------------------------------------------------------------
 # trial execution
 # ---------------------------------------------------------------------
@@ -392,6 +415,31 @@ def test_multipass_dataset(tmp_path):
            "censor": {"kind": "constant", "tau": 0.5}}
     t = run_trial(ExperimentConfig.from_dict(doc), 3)
     assert t.steps == 120
+
+
+@pytest.mark.parametrize("method, multiplies", [("srht", 10_685), ("uniform", 4_541)])
+def test_batch_passes_sketch_the_stacked_rows(tmp_path, method, multiplies):
+    # Two passes over a file sketch what one pass over the file written
+    # twice does.  Only the surrogate truth, refit on the stacked rows,
+    # may differ in its last bits, and with it the error.
+    rng = substream(80)
+    X = rng.standard_normal((300, 5))
+    y = X @ np.arange(1.0, 6.0) + 0.3 * rng.standard_normal(300)
+    body = "".join(",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(X, y))
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    once.write_text("a,b,c,d,e,y\n" + body)
+    twice.write_text("a,b,c,d,e,y\n" + body + body)
+    traces = []
+    for path, passes in ((once, 2), (twice, 1)):
+        doc = {"schema": 1, "method": method, "seed": 6, "ratio": 0.3, "passes": passes,
+               "dataset": {"path": str(path), "target_column": "y"}}
+        traces.append(run_trial(ExperimentConfig.from_dict(doc), 6))
+    tiled, stacked = traces
+    assert tiled.final_theta.tobytes() == stacked.final_theta.tobytes()
+    for name in ("n", "multiplies", "censor_ratio"):
+        np.testing.assert_array_equal(getattr(tiled, name), getattr(stacked, name))
+    assert tiled.kept_total == 180 and tiled.multiplies[0] == multiplies
+    np.testing.assert_allclose(tiled.mse, stacked.mse, rtol=1e-9)
 
 
 def _traced_peak(cfg) -> int:

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cendre import estimators, harness
 from cendre.censor import ThresholdPlan, nac_decide
@@ -581,3 +582,71 @@ def test_step_matrix_stays_symmetric_positive_definite(recorded, method, R, D):
         assert np.abs(P - P.T).max() / np.abs(P).max() < 1e-8
         if method != "samle2":
             assert np.array_equal(P, P.T)
+
+
+# ---------------------------------------------------------------------
+# Properties of the kernel over drawn configs
+# ---------------------------------------------------------------------
+
+def _censor_kinds(method):
+    if method in harness.NAC_METHODS:
+        return harness._NAC_CENSOR_KINDS
+    if method in harness.AC_METHODS:  # ac-online needs the RLS step matrix
+        return tuple(kind for kind in harness._AC_CENSOR_KINDS
+                     if kind != "ac-online" or method.endswith("rls"))
+    return (None,)
+
+
+# Every streaming method with every censor kind that suits it, so that a
+# few derandomized examples each reach all of them.
+SUITED = [(method, kind) for method in harness.STREAM_METHODS for kind in _censor_kinds(method)]
+
+
+@st.composite
+def stream_configs(draw, method, kind):
+    """A config of method with a censor of kind: tau_out for rac-*, R in
+    [1, 6] replicates of a p in [1, 8] stream of D in [3p + 20, 700] data,
+    with outliers or none."""
+    p = draw(st.integers(1, 8))
+    outliers = draw(st.booleans())
+    stream = StreamSpec(p=p, D=draw(st.integers(3 * p + 20, 700)), sigma=1.0,
+                        seed=draw(st.integers(0, 2**16)), outlier_prob=0.05 * outliers,
+                        outlier_var=25.0 * outliers)
+    over, censor = {}, None
+    if method in harness.NAC_METHODS:
+        over["K"] = draw(st.integers(2 * p + 5, 3 * p + 15))
+    if method.startswith("rac-"):
+        over["tau_out"] = draw(st.floats(2.0, 4.0))
+    if method.endswith("lms"):
+        over["mu"] = StepSize.diminishing(draw(st.floats(0.1, 1.0)))
+    if kind == "constant":
+        censor = {"kind": kind, "tau": draw(st.floats(0.3, 1.8))}
+    elif kind is not None:
+        censor = {"kind": kind, "target_pi": draw(st.floats(0.2, 0.9))}
+    return ExperimentConfig(method=method, seed=draw(st.integers(0, 2**16)),
+                            replicates=draw(st.integers(1, 6)), stream=stream, censor=censor,
+                            **over)
+
+
+@pytest.mark.parametrize("method, kind", SUITED)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_every_replicate_is_its_run_alone(method, kind, data):
+    cfg = data.draw(stream_configs(method, kind))
+    for r, trace in enumerate(monte_carlo(cfg).traces):
+        alone = run_trial(cfg, derive(cfg.seed, r))
+        for field in ("n", "mse", "censor_ratio", "multiplies", "final_theta"):
+            assert getattr(alone, field).tobytes() == getattr(trace, field).tobytes(), field
+
+
+# rac-* is left out: its ledger also counts clipped data, which a trace does not carry.
+@pytest.mark.parametrize("method, kind", [c for c in SUITED if not c[0].startswith("rac-")])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_multiplies_follow_the_ledger(method, kind, data):
+    cfg = data.draw(stream_configs(method, kind))
+    every, per_kept, _ = estimators._multiplies(method, cfg.stream.p, kind == "ac-online")
+    for trace in monte_carlo(cfg).traces:
+        kept = trace.n - np.rint(trace.n * trace.censor_ratio).astype(np.int64)
+        assert kept[-1] == trace.kept_total
+        np.testing.assert_array_equal(trace.multiplies, trace.n * every + kept * per_kept)
