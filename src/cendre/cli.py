@@ -191,42 +191,39 @@ def _axis_float(text: str, axis: str) -> float:
 
 
 def _axis_configs(cfg: ExperimentConfig, axis: str, values: list[str]):
-    """One (label, config) per axis point."""
+    """One (label, config) per axis point; a value given twice, by number on
+    tau and ratio or by name on methods, is an error."""
     if not values:
         raise ConfigError("--values is empty")
-    points = []
-    if axis == "tau":
-        for text in values:
-            tau = _axis_float(text, axis)
-            doc = cfg.to_dict()
-            doc["censor"] = {"kind": "constant", "tau": tau}
-            points.append((text, ExperimentConfig.from_dict(doc)))
-    elif axis == "ratio":
-        for text in values:
-            ratio = _axis_float(text, axis)
-            if not 0.0 < ratio <= 1.0:
-                raise ConfigError(f"ratio {ratio} outside (0, 1]")
-            doc = cfg.to_dict()
+    points, seen = [], {}
+    for text in values:
+        value = text if axis == "methods" else _axis_float(text, axis)
+        if value in seen:
+            raise ConfigError(f"--values entry {text!r} repeats {seen[value]!r} on axis {axis!r}")
+        seen[value] = text
+        doc = cfg.to_dict()
+        if axis == "tau":
+            doc["censor"] = {"kind": "constant", "tau": value}
+        elif axis == "ratio":
+            if not 0.0 < value <= 1.0:
+                raise ConfigError(f"ratio {value} outside (0, 1]")
             if cfg.method in BATCH_METHODS:
-                doc["ratio"] = ratio
+                doc["ratio"] = value
             elif cfg.method in AC_METHODS:
                 kind = (cfg.censor or {}).get("kind")
                 if kind not in ("ac-online", "ac-offline"):
                     raise ConfigError("ratio sweeps need an ac-online or ac-offline "
                                       "censor section to translate d/D into a target")
-                doc["censor"] = {"kind": kind, "target_pi": 1.0 - ratio}
+                doc["censor"] = {"kind": kind, "target_pi": 1.0 - value}
             else:
                 raise ConfigError(f"method {cfg.method!r} has no d/D axis")
-            points.append((text, ExperimentConfig.from_dict(doc)))
-    else:  # methods
-        for name in values:
-            if name not in ALL_METHODS:
-                raise ConfigError(f"unknown method {name!r} in --values")
-            doc = cfg.to_dict()
-            doc["method"] = name
-            if name not in AC_METHODS + ("samle1", "samle2"):
+        else:  # methods
+            if value not in ALL_METHODS:
+                raise ConfigError(f"unknown method {value!r} in --values")
+            doc["method"] = value
+            if value not in AC_METHODS + ("samle1", "samle2"):
                 doc.pop("censor", None)
-            points.append((name, ExperimentConfig.from_dict(doc)))
+        points.append((text, ExperimentConfig.from_dict(doc)))
     return points
 
 

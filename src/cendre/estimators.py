@@ -296,8 +296,9 @@ class _Lockstep:
         """One recursion step of replicates `rows` (all when None), row i on
         datum x[i] at step n[i] (or n), with weight h (1 when None; 0, a
         clipped outlier, leaves P as it is).  rows may also be one
-        replicate's index, with x of shape (p,), beta, h and n numbers, and
-        Px its ``_quadratic`` if known.  No other replicate is written."""
+        replicate's index, with x of shape (p,), beta, h and n numbers
+        (Python floats and ints are the cheapest), and Px its
+        ``_quadratic`` if known.  No other replicate is written."""
         theta = self.theta
         if isinstance(rows, int):  # one replicate, on 1-row arrays and numbers
             if self.mu is not None:
@@ -345,14 +346,19 @@ class _Lockstep:
             if c + 1 == _FOLD:
                 self._fold(slice(None))
             return
+        if isinstance(rows, int):  # its count as a Python int
+            c = self.c.item(rows)
+            self.W[rows, c] = w
+            if c + 1 == _FOLD:
+                self._fold(rows)
+            else:
+                self.c[rows] = c + 1
+            return
         c = self.c[rows]
         self.W[rows, c] = w
         c += 1
         self.c[rows] = c
-        if isinstance(rows, int):
-            if c == _FOLD:
-                self._fold(rows)
-        elif c.max() == _FOLD:
+        if c.max() == _FOLD:
             self._fold(rows[c == _FOLD])
 
     def _fold(self, rows) -> None:
@@ -415,16 +421,19 @@ class _Lockstep:
             offsets = interval_offsets(tau)
         kept = self.kept + np.cumsum(keep, axis=0)  # each replicate's count after each datum
         every, lone = np.arange(Y.shape[1]), Y.shape[1] == 1
+        ys = Y[:, 0].tolist() if lone else None  # a lone replicate's y, as floats
         for i in range(len(X)):
             x = X[i]
             fit = np.einsum("rp,rp->r", x, self.theta)
             if y_hat is None:
-                beta, h = Y[i] - fit, None
+                beta, h = (ys[i] - fit.item() if lone else Y[i] - fit), None
             else:
                 beta, h = score_info(censored[i], value[i], fit, None, self.sigma, offsets[:, i])
+                if lone:
+                    beta, h = beta.item(), h.item()
             self.n += 1
             if lone:
-                self.update(0, x[0], beta[0], None if h is None else h[0], self.n)
+                self.update(0, x[0], beta, h, self.n)
             else:
                 self.update(None, x, beta, h, self.n)
             if self.n >= self._soonest:

@@ -542,6 +542,8 @@ def _run_batch_trial(cfg: ExperimentConfig, replicate_seed: int, data=None) -> T
     if cfg.method == "srht":
         rp = srht_reduce(X, y, d, replicate_seed)
         D_pad = 1 << (D - 1).bit_length()
+        # The flip on all D' rows, as the SRHT defines it, though srht_reduce
+        # flips the D data rows and the transform skips the +0.0 padding.
         mult = D_pad * (p + 1) + d * p * p + p ** 3 // 3
     else:
         rp = uniform_reduce(X, y, d, replicate_seed)

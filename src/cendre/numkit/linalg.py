@@ -31,6 +31,13 @@ def fwht_in_place(v):
     in a stage-by-stage pass, so the output is bitwise that of the plain
     transform, signed zeros included.
 
+    Trailing rows whose bits are all zero (+0.0, as in a zero-padded
+    input) are found by reading back from the end, a few times as many
+    rows as the tail holds and no more.  Each pass, inside a block or
+    over the whole array, then runs only on its aligned runs that hold a
+    live row: a run of +0.0 stays +0.0 under a + b and a - b, so leaving
+    it as it is changes no bit of the output.  A -0.0 or NaN row is live.
+
     Raises
     ------
     DomainError
@@ -45,23 +52,44 @@ def fwht_in_place(v):
     rows = max(_BLOCK_BYTES // (8 * max(width, 1)), 1)
     block = min(1 << (rows.bit_length() - 1), n)
     scratch = np.empty((n // 2) * width)
-    for start in range(0, n, block):
-        _stages(work[start:start + block], 1, block, scratch)
-    _stages(work, block, n, scratch)
+    live = _live_rows(work)
+    for start in range(0, live, block):
+        _stages(work[start:start + block], 1, block, scratch, live - start)
+    _stages(work, block, n, scratch, live)
     if not np.shares_memory(work, v):
         v[...] = work.reshape(v.shape)
     return v
 
 
-def _stages(x, h, stop, scratch):
+def _live_rows(work):
+    """The number of rows of work (n, width) up to its last one that is not
+    all +0.0 bits: runs back from the end that double in length, then a
+    bisection of the run that holds that row."""
+    n, width = work.shape
+    bits = work.reshape(-1).view(np.uint64)
+    end, run = n, 1
+    while end and not np.count_nonzero(bits[max(end - run, 0) * width:end * width]):
+        end, run = max(end - run, 0), 2 * run
+    start = max(end - run, 0)  # rows [start, end) hold a live row, the rest none
+    while end - start > 1:
+        mid = (start + end) // 2
+        if np.count_nonzero(bits[mid * width:end * width]):
+            start = mid
+        else:
+            end = mid
+    return end
+
+
+def _stages(x, h, stop, scratch, live):
     """Butterfly stages of half-width h, 2h, ... below stop on the rows of
     x, two at a time (radix 4) while two remain, using scratch for the
-    differences."""
-    m, width = x.shape
-    half = (m // 2) * width
-    quarter = half // 2
+    differences; each pass skips the aligned runs past the first `live`
+    rows, which are all +0.0."""
+    width = x.shape[1]
     while 4 * h <= stop:
-        a, b, c, d = np.moveaxis(x.reshape(m // (4 * h), 4, h, width), 1, 0)
+        m = min(-(-live // (4 * h)) * 4 * h, x.shape[0])
+        live, quarter = m, (m // 4) * width
+        a, b, c, d = np.moveaxis(x[:m].reshape(m // (4 * h), 4, h, width), 1, 0)
         t1 = scratch[:quarter].reshape(a.shape)
         t2 = scratch[quarter:2 * quarter].reshape(a.shape)
         np.subtract(a, b, out=t1)
@@ -75,8 +103,9 @@ def _stages(x, h, stop, scratch):
         c[...] = t1
         h *= 4
     if h < stop:
-        top, bottom = np.moveaxis(x.reshape(m // (2 * h), 2, h, width), 1, 0)
-        diff = scratch[:half].reshape(top.shape)
+        m = min(-(-live // (2 * h)) * 2 * h, x.shape[0])
+        top, bottom = np.moveaxis(x[:m].reshape(m // (2 * h), 2, h, width), 1, 0)
+        diff = scratch[:(m // 2) * width].reshape(top.shape)
         np.subtract(top, bottom, out=diff)
         top += bottom
         bottom[...] = diff

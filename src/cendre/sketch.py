@@ -11,7 +11,12 @@ no-preconditioning control.
 Cost model (scalar multiplies, documented rather than counted): the
 sign flip is D'(p+1) and the transform D' log2(D') (p+1) additions
 only, so the sketch itself is multiply-light; solving the reduced
-system is the usual O(d p^2) + O(p^3).
+system is the usual O(d p^2) + O(p^3).  These counts, and the ledger's
+D'(p+1), cover all D' rows, as the SRHT is defined; the code flips only
+the D data rows and leaves the D' - D rows of +0.0 padding, which the
+transform skips until a butterfly mixes them with data (see
+``fwht_in_place``).  A nonzero output is the same bits either way; only
+an exact zero could take the other sign.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ def srht_reduce(X, y, d: int, seed: int) -> ReducedProblem:
     work = np.zeros((D_pad, p + 1), dtype=np.float64)
     work[:D, :p] = X
     work[:D, p] = y
-    work *= signs[:, None]
+    work[:D] *= signs[:D, None]  # the padding stays +0.0, which the transform skips
     fwht_in_place(work)
     selected = rng.choice(D_pad, size=int(d), replace=False)
     scale = np.sqrt(D_pad / d)

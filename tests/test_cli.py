@@ -371,6 +371,8 @@ def test_sweep_ratio_axis_on_a_sketch(tmp_path):
     ({"censor": {"kind": "ac-offline", "target_pi": 0.5}}, "0", "outside (0, 1]"),
     ({"method": "rls", "censor": None}, "0.5", "has no d/D axis"),
     ({}, " , ", "--values is empty"),
+    ({"censor": {"kind": "ac-offline", "target_pi": 0.5}}, "0.5,0.5", "repeats '0.5'"),
+    ({"censor": {"kind": "ac-offline", "target_pi": 0.5}}, "0.5,0.50", "repeats '0.5'"),
 ])
 def test_sweep_ratio_axis_errors(tmp_path, capsys, over, values, message):
     doc = {key: value for key, value in _basic_doc(replicates=1, **over).items()
@@ -378,6 +380,21 @@ def test_sweep_ratio_axis_errors(tmp_path, capsys, over, values, message):
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(_run_config(tmp_path, doc)), "--out", str(out),
                  "--axis", "ratio", "--values", values]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("tau", "1.0,1", "'1' repeats '1.0'"),
+    ("tau", "0.5,2,5e-1", "'5e-1' repeats '0.5'"),
+    ("methods", "rls,ac-rls,rls", "'rls' repeats 'rls'"),
+])
+def test_sweep_rejects_a_repeated_value(tmp_path, capsys, axis, values, message):
+    # Two labels of one point would run it twice; one label twice would keep
+    # both in sweep.csv and one in sweep.json.
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(_run_config(tmp_path, _basic_doc(replicates=1))),
+                 "--out", str(out), "--axis", axis, "--values", values]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -308,12 +308,28 @@ _FWHT_CASES = (
     + [((4096, 51), layout) for layout in ("fortran", "strided", "int")]
     + [((64, 3, 5), "c"), ((64, 3, 5), "strided"), ((8, 0), "c"), ((8, 0, 3), "c"),
        ((1 << 18,), "strided")]
+    + [((8192, 51), "srht-padding"), ((4096, 201), "one-live-row"), ((4096, 51), "all-zero"),
+       ((1 << 18,), "tail-off-block"), ((4096, 51), "negative-zero-tail"),
+       ((4096, 51), "all-negative-zero")]
 )
+
+# Layouts whose rows from a start on are set to one zero, which the transform
+# skips when it is +0.0: the srht's 5,000 data rows padded to 8,192 (2048-row
+# blocks), one live row, no live row, a tail that starts inside the second of
+# two 131072-row blocks, and -0.0 rows, which are live: a tail behind one data
+# row, whose zero entries leave whole columns of signed zeros, and a whole
+# array, which a transform that skipped it would leave all -0.0.
+_ZERO_TAILS = {"srht-padding": (5000, 0.0), "one-live-row": (1, 0.0), "all-zero": (0, 0.0),
+               "tail-off-block": (200_003, 0.0), "negative-zero-tail": (1, -0.0),
+               "all-negative-zero": (0, -0.0)}
 
 
 @pytest.mark.parametrize("shape, layout", _FWHT_CASES)
 def test_fwht_matches_stagewise_oracle(shape, layout):
     x = _signed_zeros(shape)
+    if layout in _ZERO_TAILS:
+        start, zero = _ZERO_TAILS[layout]
+        x[start:] = zero
     if layout == "int":
         x = np.rint(100.0 * x).astype(np.int64)
     want = oracles.fwht_stagewise(x)

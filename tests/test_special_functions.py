@@ -5,12 +5,13 @@ scipy's erfc drifts from a 50-digit reference by up to 6e-14 relative past
 x = 20, while its erfcx (the Faddeeva package) stays within 2e-15, so the
 upper tail is checked through erfcx: Q(t) = erfcx(x) exp(-x^2) / 2 with
 x = t / sqrt(2), the rounding error of x^2 put back as in the code under
-test.
+test.  Narrow intervals right of zero are checked against mpmath.
 """
 
 import math
 
 import numpy as np
+import pytest
 from scipy import special
 
 from cendre.numkit.gaussian import erfc, erfcx, gauss_q, gauss_q_inv, interval_log_prob, ndtri
@@ -97,3 +98,26 @@ def test_interval_log_prob_narrow_across_zero():
     z_l, z_u = -u * w, (1.0 - u) * w
     want = np.log((z_u - z_l) / math.sqrt(2.0 * math.pi))
     np.testing.assert_allclose(interval_log_prob(z_l, z_u), want, rtol=1e-15, atol=0)
+
+
+def test_interval_log_prob_narrow_right_of_zero():
+    # Right of zero the Mills difference cancels as the width w shrinks; the
+    # midpoint series keeps every width to a few ulp of the log.  Reference:
+    # mpmath's erfc difference, at 50 digits beyond the ones it cancels.
+    mp = pytest.importorskip("mpmath")
+
+    def exact(lo, hi):
+        with mp.workdps(50 + max(0, int(-math.log10(hi - lo)))):
+            a, b = mp.mpf(lo) / mp.sqrt(2), mp.mpf(hi) / mp.sqrt(2)
+            return float(mp.log((mp.erfc(a) - mp.erfc(b)) / 2))
+
+    assert interval_log_prob(0.5, 0.5 + 1e-13) == pytest.approx(-30.97723384527346, rel=4 * EPS)
+    assert interval_log_prob(0.0, 1e-300) == pytest.approx(-691.6944664314184, rel=4 * EPS)
+    z_l, z_u = [], []
+    for lo in (0.0, 0.3, 0.5, 1.0, 2.5, 6.0, 12.0, 30.0, 37.0):
+        for w in np.geomspace(1e-300, 2.0, 61):
+            if lo + w > lo:
+                z_l.append(lo)
+                z_u.append(lo + w)
+    want = [exact(lo, hi) for lo, hi in zip(z_l, z_u)]
+    np.testing.assert_allclose(interval_log_prob(z_l, z_u), want, rtol=4 * EPS, atol=0)
