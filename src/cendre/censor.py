@@ -196,8 +196,8 @@ class ThresholdPlan:
         if self.kind not in _PLAN_KINDS:
             raise ConfigError(f"unknown threshold plan kind {self.kind!r}")
         if self.kind == "constant":
-            if self.tau is None or self.tau < 0.0:
-                raise ConfigError("constant plan needs tau >= 0")
+            if self.tau is None or not (self.tau >= 0.0 and math.isfinite(self.tau)):
+                raise ConfigError("constant plan needs a finite tau >= 0")
             return
         pi = self.target_pi
         if pi is None:

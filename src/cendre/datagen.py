@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_section, read_field
+from .errors import ConfigError, DomainError, config_section, integer, read_field
 from .estimators import _PANEL, batch_lse
 from .numkit.rng import derive, substream
 
@@ -130,7 +130,7 @@ class StreamSpec:
             return read_field(cast, section[key], f"{name}.{key}")
 
         try:
-            p = read("p", int)
+            p = read("p", integer)
             cov = sd.get("cov")
             if isinstance(cov, dict):
                 kind = cov.get("kind")
@@ -150,8 +150,8 @@ class StreamSpec:
             if outliers and ("prob" not in outliers or "var" not in outliers):
                 raise ConfigError("field 'stream.outliers' must carry 'prob' and 'var'")
             config_section(outliers, "stream.outliers", ("prob", "var"))
-            return cls(p=p, D=read("D", int), sigma=read("sigma"),
-                       seed=read_field(int, sd.get("seed", default_seed), "stream.seed"),
+            return cls(p=p, D=read("D", integer), sigma=read("sigma"),
+                       seed=read_field(integer, sd.get("seed", default_seed), "stream.seed"),
                        design=str(sd.get("design", "gaussian")), cov=cov,
                        df=read("df") if sd.get("df") is not None else None,
                        theta=read("theta", _float_array) if sd.get("theta") is not None else None,

@@ -40,6 +40,21 @@ def config_section(doc, name: str, fields, required=()) -> dict:
     return doc
 
 
+def integer(value) -> int:
+    """An integer field's value: an int, or a number with no fractional
+    part.  A bool is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def flag(value) -> bool:
+    """A flag field's value, a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"not a boolean: {value!r}")
+    return value
+
+
 def read_field(read, value, name: str):
     """read(value), with read a cast such as int or float: a value it
     cannot convert raises ConfigError naming the field (its dotted path)."""

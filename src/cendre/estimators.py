@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censor import CensorDecision, ThresholdPlan, robust_decide
+from .censor import CensorDecision, ThresholdPlan, _check_rule_args, robust_decide
 from .errors import ConfigError, DomainError, SingularityError, UsageError
 # evaluate is not called here: perfbench/tracer.py pins this module's binding of it.
 from .likelihood import CensoredTerm, evaluate, interval_offsets, loss, score_info
@@ -236,12 +236,14 @@ class _Lockstep:
     by the one-row update when R = 1.  ``ac_panel`` steps the gated AC
     methods in desynchronized rounds, each replicate jumping to its own
     next kept datum; once one is left (R = 1, or the others at the panel's
-    end), ``_lone`` runs the same rounds on slices of its row.  Marks
+    end), ``_lone`` runs the same rounds on slices of its row.  A datum the
+    AC gate keeps, in either loop or in a class's step, takes one routine,
+    ``_keep``: the robust clip, the kept counts and the update.  Marks
     record the error, kept and clipped counts; multiply ledgers are exact.
 
     An estimator class holds one replicate, with no marks, and steps it a
-    datum at a time through the same gate, clip and update; without marks
-    a breakdown's message leaves out the method and step.
+    datum at a time through the same gate and ``_keep``; without marks a
+    breakdown's message leaves out the method and step.
     """
 
     def __init__(self, method: str, R: int, p: int, sigma, theta=None, P=None, mu=None,
@@ -471,13 +473,7 @@ class _Lockstep:
             a += j + got
             step, front = self.n + a[cols], int(a.max())
             if rows.size:
-                beta, h = E[k], None
-                if self.tau_out is not None:
-                    beta, h = self._clip(rows, beta, tau[k], bad)
-                self.kept[rows] += 1
-                self._kept_sum += beta.size
-                self.rounds += 1
-                self.update(rows, Xw[k], beta, h, step)
+                self._keep(rows, Xw[k], E[k], tau[k], bad, step)
                 if watch:
                     self._record(rows, step)
             if front >= m:  # drop the replicates at the panel's end
@@ -512,17 +508,10 @@ class _Lockstep:
             if watch:  # marks inside a jump see the theta before its step
                 self._record(act, n + j)
             a += j + got
-            if not got:
-                continue
-            e, h = E[j], None
-            if self.tau_out is not None:
-                e, h = self._clip(r, e, tau[j], bad)
-            self.kept[r] += 1
-            self._kept_sum += 1
-            self.rounds += 1
-            self.update(r, Xw[j, 0], e, h, n + j + 1)
-            if watch:
-                self._record(act, n + j + 1)
+            if got:
+                self._keep(r, Xw[j, 0], E[j], tau[j], bad, n + j + 1)
+                if watch:
+                    self._record(act, n + j + 1)
 
     def _window(self, lead: int, R: int) -> int:
         """Data a round scans: twice the realized mean gap between kept data,
@@ -557,22 +546,30 @@ class _Lockstep:
              - np.einsum("brm,brm->br", t[..., p:], t[..., p:])) * (steps - 1) / steps
         return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
 
-    def _clip(self, rows, e, tau, check):
-        """Robust rule on the kept innovations e of replicates rows, an
-        array, or on one replicate's e, a number (checked for values that
-        are not finite if `check`): (score, weight), outliers clipped to
-        tau_out sigma sign(e) with weight 0; weight None if none is."""
-        if check and not np.isfinite(e).all():
-            e1, tau1 = np.atleast_1d(e, tau)
-            r = int(np.isfinite(e1).argmin())
-            robust_decide(float(e1[r]), self.sigma, float(tau1[r]), self.tau_out)
-        bound = self.tau_out * self.sigma
-        out = np.abs(e) >= bound
-        if not out.any():
-            return e, None
-        self.clipped[rows] += out
-        score = bound * (e > 0) - bound * (e < 0)  # tau_out sigma sign(e), e != 0 here
-        return np.where(out, score, e), np.where(out, 0.0, 1.0)
+    def _keep(self, rows, x, e, tau, check, n, Px=None):
+        """The kept step of replicates rows on data x, one a row, with
+        innovations e, thresholds tau and steps n; or of one replicate's
+        index with numbers, as in ``update``.  With tau_out, a value of e
+        that is not finite raises the robust rule if `check`, and an outlier
+        is clipped to tau_out sigma sign(e) with weight h = 0.  Counts the
+        kept data, updates, and returns h (None when none is clipped)."""
+        h = None
+        if self.tau_out is not None:
+            if check and not np.isfinite(e).all():
+                e1, tau1 = np.atleast_1d(e, tau)
+                r = int(np.isfinite(e1).argmin())
+                robust_decide(float(e1[r]), self.sigma, float(tau1[r]), self.tau_out)
+            bound = self.tau_out * self.sigma
+            out = np.abs(e) >= bound
+            if out.any():
+                self.clipped[rows] += out
+                score = bound * (e > 0) - bound * (e < 0)  # tau_out sigma sign(e), e != 0 here
+                e, h = np.where(out, score, e), np.where(out, 0.0, 1.0)
+        self.kept[rows] += 1
+        self._kept_sum += 1 if isinstance(rows, int) else rows.size
+        self.rounds += 1
+        self.update(rows, x, e, h, n, Px)
+        return h
 
     # -- results ------------------------------------------------------------
 
@@ -633,8 +630,8 @@ class _Gate:
 
         An open gate keeps every datum and ignores tau.  Otherwise the
         datum is kept iff |e| >= tau sigma (boundary kept), with tau given
-        here or read from the plan.  With tau_out, a tau given here must
-        suit the robust rule, and an outlier is kept with its score clipped.
+        here or read from the plan; a tau given here must suit the rules.
+        With tau_out, an outlier is kept with its score clipped.
         """
         x = np.asarray(x, dtype=np.float64)
         k = self._k
@@ -658,16 +655,16 @@ class _Gate:
         self.multiply_count += every
         e, bad = float(y) - float(x @ k.theta_rows[0]), False
         if k.sigma is not None:
-            if k.tau_out is not None and not planned:
-                robust_decide(e, k.sigma, tau, k.tau_out)
+            if not planned:  # a tau given here must suit the rules
+                if k.tau_out is None:
+                    _check_rule_args(k.sigma, tau)
+                else:
+                    robust_decide(e, k.sigma, tau, k.tau_out)
             hit, bad = k._hits(e, tau * k.sigma)
             if not hit:
                 return self, CensorDecision(False)
-        beta, h = e, None
-        if k.tau_out is not None:
-            beta, h = k._clip(0, e, tau, bad)
+        h = k._keep(0, x, e, tau, bad, n, Px)
         self.kept_count += 1
-        k.update(0, x, beta, h, n, Px)
         self.multiply_count += per_kept + (h is not None) * per_clipped
         return self, CensorDecision(True, float(y), h is not None)
 

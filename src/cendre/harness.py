@@ -32,7 +32,8 @@ import numpy as np
 
 from .censor import ThresholdPlan, _half_tail_quantile, nac_decide
 from .datagen import StreamSpec, generate, materialize
-from .errors import ConfigError, DomainError, SingularityError, config_section, read_field
+from .errors import (ConfigError, DomainError, SingularityError, config_section, flag, integer,
+                     read_field)
 from .estimators import _PANEL, StepSize, _Lockstep, kaczmarz_run, preliminary_fit
 from .ingest import _write_json, load_csv, surrogate_truth
 from .numkit.gaussian import gauss_pdf, gauss_q
@@ -198,9 +199,11 @@ class ExperimentConfig:
         if doc.get("stream") is not None:
             fields["stream"] = StreamSpec.from_doc(doc["stream"], fields["seed"])
         if doc.get("dataset") is not None:
-            ds = dict(config_section(doc["dataset"], "dataset", _DATASET_FIELDS,
-                                     required=("path", "target_column")))
-            fields["dataset_path"] = str(ds.pop("path"))
+            ds = config_section(doc["dataset"], "dataset", _DATASET_FIELDS,
+                                required=("path", "target_column"))
+            ds = {key: read_field(_DATASET_FIELDS[key], value, f"dataset.{key}")
+                  for key, value in ds.items()}
+            fields["dataset_path"] = ds.pop("path")
             fields["dataset_options"] = ds
         est = config_section(doc.get("estimator") or {}, "estimator", _ESTIMATOR_FIELDS)
         fields.update((key, read_field(read, est[key], f"estimator.{key}"))
@@ -240,19 +243,39 @@ def _read_mu(doc) -> StepSize:
     return StepSize(str(doc["policy"]), read_field(float, doc["value"], "estimator.mu.value"))
 
 
+def _read_marks(marks) -> tuple[int, ...]:
+    if not isinstance(marks, (list, tuple)):
+        raise TypeError(f"not a list: {marks!r}")
+    return tuple(integer(n) for n in marks)
+
+
+def _read_target(column):
+    """A target column: a name, or a position that is an int and no bool."""
+    if isinstance(column, bool) or not isinstance(column, (str, int)):
+        raise TypeError(f"not a column name or index: {column!r}")
+    return column
+
+
+def _read_delimiter(text) -> str:
+    if not (isinstance(text, str) and len(text) == 1):
+        raise TypeError(f"not one character: {text!r}")
+    return text
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ConfigError("field 'seed' must be nonnegative")
 
 
-# A config's top-level and estimator fields: JSON key, also the attribute
-# name, -> reader.  from_dict reads each key a document has; to_dict
-# writes each attribute that is set.
-_TOP_FIELDS = {"method": str, "seed": int, "replicates": int, "K": int, "ratio": float,
-               "passes": int, "record_at": lambda marks: tuple(int(n) for n in marks)}
+# A config's top-level, estimator and dataset fields: JSON key, also the
+# attribute or load_csv option name, -> reader.  from_dict reads each key
+# a document has; to_dict writes each attribute that is set.
+_TOP_FIELDS = {"method": str, "seed": integer, "replicates": integer, "K": integer,
+               "ratio": float, "passes": integer, "record_at": _read_marks}
 _ESTIMATOR_FIELDS = {"mu": _read_mu, "epsilon": float, "tau_out": float}
-_DATASET_FIELDS = ("path", "target_column", "header", "delimiter", "drop_non_numeric",
-                   "add_intercept", "skip_bad_rows", "standardize")
+_DATASET_FIELDS = {"path": str, "target_column": _read_target, "header": flag,
+                   "delimiter": _read_delimiter, "drop_non_numeric": flag,
+                   "add_intercept": flag, "skip_bad_rows": flag, "standardize": flag}
 
 
 # ---------------------------------------------------------------------

@@ -221,6 +221,8 @@ def load_csv(path, target_column, *, header: bool = True, delimiter: str = ",",
         standard deviation (divided by D, not D - 1); logged, off by
         default.
     """
+    if isinstance(target_column, bool):
+        raise ConfigError(f"target column {target_column!r} is neither a name nor an index")
     path = Path(path)
     log: list[str] = []
     with open(path, "rb") as raw:

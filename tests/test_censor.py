@@ -420,3 +420,10 @@ def test_plan_validation():
         ThresholdPlan.ac_offline(10, 1.5)
     with pytest.raises(ConfigError):
         ThresholdPlan.ac_online(-0.1)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_constant_plan_rejects_a_tau_that_is_not_finite(tau):
+    # Under a NaN tau every datum would be censored: abs(e) >= nan is false.
+    with pytest.raises(ConfigError):
+        ThresholdPlan.constant(tau)

@@ -230,6 +230,31 @@ def test_run_config_errors(tmp_path, capsys):
     assert ("config error: censoring rules need a positive noise scale sigma"
             in capsys.readouterr().err)
 
+    # A value of the wrong type is rejected, never cast: a bool is no column
+    # index or count, a string no flag or list, a fraction no integer.
+    data = tmp_path / "d.csv"
+    rows = substream(8).standard_normal((200, 4))
+    data.write_text("a,b,c,y\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    dataset = lambda **over: {"dataset": {"path": str(data), "target_column": "y", **over},
+                              "stream": None, "replicates": 1}
+    wrong = [("dataset.target_column", dataset(target_column=True)),
+             ("dataset.target_column", dataset(target_column=False)),
+             ("dataset.target_column", dataset(target_column=["y"])),
+             ("dataset.standardize", dataset(standardize="no")),
+             ("dataset.header", dataset(header="false")),
+             ("dataset.delimiter", dataset(delimiter=5)),
+             ("dataset.delimiter", dataset(delimiter=",,")),
+             ("dataset.delimiter", dataset(delimiter="")),
+             ("replicates", {"replicates": 2.7}), ("seed", {"seed": 1.9}),
+             ("stream.p", {"stream": {"p": 3.9, "D": 128, "sigma": 1.0}}),
+             ("passes", {"passes": True}), ("record_at", {"record_at": "123"})]
+    for i, (field, over) in enumerate(wrong):
+        doc = {key: value for key, value in _basic_doc(**over).items() if value is not None}
+        out = tmp_path / f"wrong{i}"
+        assert main(["run", "--config", str(_run_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"config error: field '{field}' has invalid value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, field", [
     (("run", "stream", {"p": "x", "D": 64, "sigma": 1.0}), "stream.p"),

@@ -258,6 +258,17 @@ def test_sigma_validation():
         LMS(2, StepSize.constant(0.1), plan=ThresholdPlan.constant(1.0))
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("est", [RLS(2, sigma=1.0), LMS(2, StepSize.constant(0.1), 1.0)],
+                         ids=["rls", "lms"])
+def test_a_given_tau_must_suit_the_rules(est, tau):
+    # As with tau_out, where the robust rule checks it.  Unchecked, a NaN
+    # tau would censor the datum and -1 keep it.
+    with pytest.raises(DomainError, match="tau must be non-negative and finite"):
+        est.step(1.0, np.ones(2), tau=tau)
+    assert est.kept_count == 0 and not est.theta.any()
+
+
 def test_missing_plan_and_tau():
     with pytest.raises(ConfigError):
         RLS(2, sigma=1.0).step(1.0, np.ones(2))

@@ -59,6 +59,12 @@ def test_target_by_position_and_negative(tmp_path):
         np.testing.assert_array_equal(ds.design, by_name.design)
 
 
+@pytest.mark.parametrize("column", [True, False])
+def test_bool_target_is_no_position(tmp_path, column):
+    with pytest.raises(ConfigError):
+        load_csv(_write(tmp_path, BASIC), column)
+
+
 def test_headerless(tmp_path):
     ds = load_csv(_write(tmp_path, "1,2,3\n4,5,6\n7,8,9\n0,1,2\n"), 2, header=False)
     assert ds.column_names == ["col0", "col1"]
