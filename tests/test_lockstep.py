@@ -454,17 +454,22 @@ def test_lockstep_non_finite_replicate_stays_apart(monkeypatch, case, bad, where
             np.testing.assert_array_equal(getattr(alone, field), getattr(res.traces[r], field))
 
 
-@pytest.fixture
-def recorded(monkeypatch):
-    """The kernels the harness builds, each appended once its traces are read."""
-    runs = []
+def _recording(runs):
+    """A kernel class that appends each kernel to runs once its traces are read."""
 
     class Recorded(estimators._Lockstep):
         def traces(self, *args):
             runs.append(self)
             return super().traces(*args)
 
-    monkeypatch.setattr(harness, "_Lockstep", Recorded)
+    return Recorded
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The kernels the harness builds, each appended once its traces are read."""
+    runs = []
+    monkeypatch.setattr(harness, "_Lockstep", _recording(runs))
     return runs
 
 
@@ -712,18 +717,11 @@ def test_restored_class_resumes_bitwise(method, kind, data):
 def test_step_matrix_is_exactly_symmetric(method, kind, data):
     cfg = data.draw(stream_configs(method, kind))
     runs = []
-
-    class Recorded(estimators._Lockstep):
-        def traces(self, *args):
-            runs.append(self)
-            return super().traces(*args)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(harness, "_Lockstep", Recorded)
+        m.setattr(harness, "_Lockstep", _recording(runs))
         monte_carlo(cfg)
     (run,) = runs
-    P = run.P
-    assert np.array_equal(P, P.transpose(0, 2, 1))
+    assert np.array_equal(run.P, run.P.transpose(0, 2, 1))
 
 
 # A non-finite datum raises out of the whole run where a rule checks it:
