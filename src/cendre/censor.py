@@ -193,6 +193,11 @@ class ThresholdPlan:
     _block = (None, None)
 
     def __post_init__(self):
+        # A JSON document (an estimator's snapshot) gives these as lists.
+        if isinstance(self.target_pi, list):
+            object.__setattr__(self, "target_pi", tuple(self.target_pi))
+        if isinstance(self.gram_inv, list):
+            object.__setattr__(self, "gram_inv", np.array(self.gram_inv, dtype=np.float64))
         if self.kind not in _PLAN_KINDS:
             raise ConfigError(f"unknown threshold plan kind {self.kind!r}")
         if self.kind == "constant":

@@ -45,24 +45,24 @@ The per-step costs are exact and asserted in the test suite; see each
 class docstring and ``_multiplies``.
 
 ``snapshot()`` writes an estimator's state as one JSON document: its
-``kind``, its scalar attributes as they are, its step-size policy as
-{"policy", "value"}, and its arrays as nested lists.  A second-order
-estimator saves its step matrix P and also the base and pending vectors
-that P is held as (see ``_Lockstep``), so a restored one resumes bitwise.
-``from_snapshot`` reads that document back.  A threshold plan is
-configuration, not state, and is not saved; a restored gated estimator is
-given tau at each step.
+``kind``, its scalars and counts as they are, its step-size policy and
+threshold plan as objects of their fields, and its arrays as nested lists.
+A second-order estimator saves its step matrix P and also the base and
+pending vectors that P is held as (see ``_Lockstep``).  ``from_snapshot``
+reads that document back, plan and counts included, so a restored
+estimator steps on its own plan and resumes bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .censor import CensorDecision, ThresholdPlan, _check_rule_args, robust_decide
-from .errors import ConfigError, DomainError, SingularityError, UsageError
+from .errors import (ConfigError, DomainError, SingularityError, UsageError, config_section,
+                     read_field)
 # evaluate is not called here: perfbench/tracer.py pins this module's binding of it.
 from .likelihood import CensoredTerm, evaluate, interval_offsets, loss, score_info
 from .numkit.linalg import cholesky_solve
@@ -546,14 +546,14 @@ class _Lockstep:
              - np.einsum("brm,brm->br", t[..., p:], t[..., p:])) * (steps - 1) / steps
         return self._under_clip(self.plan.thresholds(1, len(Xw) + 1, quadratic_form=q))
 
-    def _keep(self, rows, x, e, tau, check, n, Px=None):
+    def _keep(self, rows, x, e, tau, check, n, Px=None, h=None):
         """The kept step of replicates rows on data x, one a row, with
         innovations e, thresholds tau and steps n; or of one replicate's
         index with numbers, as in ``update``.  With tau_out, a value of e
         that is not finite raises the robust rule if `check`, and an outlier
-        is clipped to tau_out sigma sign(e) with weight h = 0.  Counts the
-        kept data, updates, and returns h (None when none is clipped)."""
-        h = None
+        is clipped to tau_out sigma sign(e) with weight h = 0.  Updates,
+        counts the kept data, and returns h (None when none is clipped and
+        none was given)."""
         if self.tau_out is not None:
             if check and not np.isfinite(e).all():
                 e1, tau1 = np.atleast_1d(e, tau)
@@ -565,10 +565,10 @@ class _Lockstep:
                 self.clipped[rows] += out
                 score = bound * (e > 0) - bound * (e < 0)  # tau_out sigma sign(e), e != 0 here
                 e, h = np.where(out, score, e), np.where(out, 0.0, 1.0)
+        self.update(rows, x, e, h, n, Px)
         self.kept[rows] += 1
         self._kept_sum += 1 if isinstance(rows, int) else rows.size
         self.rounds += 1
-        self.update(rows, x, e, h, n, Px)
         return h
 
     # -- results ------------------------------------------------------------
@@ -584,34 +584,42 @@ class _Lockstep:
 
 class _Gate:
     """A single-stream estimator: one replicate of ``_Lockstep``, stepped
-    one datum at a time, with its counters and snapshot.
+    one datum at a time, and a view of it.
 
-    theta, and P for a second-order recursion, are views of the kernel's
-    row; sigma, tau_out and the plan are the kernel's.
+    theta, P for a second-order recursion, the step, kept and clipped
+    counts, the ridge, sigma, tau_out and the plan are the kernel's, and
+    the multiply count is the kernel's ledger of those counts.  A snapshot
+    saves them all, so a restored estimator steps on its own plan.
     """
 
-    _saved = ("theta", "sigma", "tau_out", "n", "multiply_count", "kept_count")
+    _saved = ("theta", "sigma", "tau_out", "plan", "n", "kept_count", "clipped", "multiply_count")
 
     def __init__(self, theta, sigma: float | None, plan: ThresholdPlan | None,
-                 tau_out: float | None, mu: StepSize | None = None, P=None):
+                 tau_out: float | None, mu: StepSize | None = None, P=None, epsilon=None):
         if sigma is None:
             if plan is not None or tau_out is not None:
                 raise ConfigError("a threshold plan or an outlier bound needs sigma")
         elif sigma <= 0.0:
             raise ConfigError("sigma must be positive")
+        if mu is not None and plan is not None and plan.needs_quadratic_form:
+            raise ConfigError("an 'ac-online' plan needs the RLS step matrix; use it with RLS")
         theta = np.asarray(theta, dtype=np.float64)
-        p, kind = theta.shape[0], self.kind
-        method = kind if sigma is None or kind.startswith("samle") else "ac-" + kind
-        self._k = _Lockstep(method, 1, p, None if sigma is None else float(sigma), theta[None],
-                            None if P is None else np.asarray(P)[None], mu, plan,
-                            None if tau_out is None else float(tau_out))
-        # Ledgers of a step whose tau is given or comes from the plan.
-        self._costs = (_multiplies(method, p), _multiplies(method, p, self._k.online))
-        self.n = self.multiply_count = self.kept_count = 0
+        method = self.kind if sigma is None or self.kind.startswith("samle") else "ac-" + self.kind
+        self._k = _Lockstep(method, 1, theta.shape[0], None if sigma is None else float(sigma),
+                            theta[None], None if P is None else np.asarray(P)[None], mu, plan,
+                            None if tau_out is None else float(tau_out), epsilon)
 
     sigma = property(lambda self: self._k.sigma)
     tau_out = property(lambda self: self._k.tau_out)
     plan = property(lambda self: self._k.plan)
+    n = property(lambda self: self._k.n)
+    kept_count = property(lambda self: int(self._k.kept[0]))
+    clipped = property(lambda self: int(self._k.clipped[0]))
+
+    @property
+    def multiply_count(self) -> int:
+        every, per_kept, per_clipped = _multiplies(self._k.method, self.p, self._k.online)
+        return self.n * every + self.kept_count * per_kept + self.clipped * per_clipped
 
     @property
     def theta(self) -> np.ndarray:
@@ -635,24 +643,20 @@ class _Gate:
         """
         x = np.asarray(x, dtype=np.float64)
         k = self._k
-        if k.Pb is None and k.mu is None:  # RLS fixes its ridge at the first datum
-            k.epsilon = self.epsilon
-            k._fix_ridge(x[None])
-            self.epsilon = float(np.ravel(k.epsilon)[0])
-        n, planned, Px = self.n + 1, k.sigma is not None and tau is None, None
+        k._fix_ridge(x[None])  # RLS fixes its ridge at the first datum
+        # x'Px, which an ac-online plan reads on every step and a kept step reuses
+        n, Px = k.n + 1, k._quadratic(0, x) if k.online else None
+        planned = k.sigma is not None and tau is None
         if planned:
             if k.plan is None:
                 raise ConfigError("no tau given and no threshold plan configured")
-            if k.online:  # x'Px, which a kept step then reuses
-                Px = k._quadratic(0, x)
+            if k.online:
                 tau = k._online_tau(None, None, n, Px[1])
             else:
                 # An adaptive schedule can ask for a threshold above the clip
                 # boundary while it warms up; the clip stays in charge there.
                 tau = k._under_clip(k.plan.threshold(n, x=x))
-        every, per_kept, per_clipped = self._costs[planned]
-        self.n = n
-        self.multiply_count += every
+        k.n = n
         e, bad = float(y) - float(x @ k.theta_rows[0]), False
         if k.sigma is not None:
             if not planned:  # a tau given here must suit the rules
@@ -664,21 +668,19 @@ class _Gate:
             if not hit:
                 return self, CensorDecision(False)
         h = k._keep(0, x, e, tau, bad, n, Px)
-        self.kept_count += 1
-        self.multiply_count += per_kept + (h is not None) * per_clipped
         return self, CensorDecision(True, float(y), h is not None)
 
     def snapshot(self) -> dict:
         """The estimator's state as a JSON document (see the module docstring)."""
-        doc = {"kind": self.kind}
-        for name in self._saved:
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            elif isinstance(value, StepSize):
-                value = {"policy": value.policy, "value": value.value}
-            doc[name] = value
-        return doc
+        return {"kind": self.kind, **{name: _json(getattr(self, name)) for name in self._saved}}
+
+
+def _json(value):
+    """value in a JSON document: an array or a tuple as (nested) lists, a
+    StepSize or ThresholdPlan as an object of its fields, Nones dropped."""
+    if isinstance(value, (StepSize, ThresholdPlan)):
+        return {name: _json(v) for name, v in asdict(value).items() if v is not None}
+    return np.asarray(value).tolist() if isinstance(value, (np.ndarray, tuple)) else value
 
 
 class LMS(_Gate):
@@ -728,8 +730,11 @@ class RLS(_Gate):
                  sigma: float | None = None, plan: ThresholdPlan | None = None,
                  tau_out: float | None = None):
         super().__init__(np.zeros(int(p)) if theta0 is None else theta0, sigma, plan, tau_out,
-                         P=inv_gram0)
-        self.epsilon = None if epsilon is None else float(epsilon)
+                         P=inv_gram0, epsilon=None if epsilon is None else float(epsilon))
+
+    # The ridge, as given or as default_ridge fixes it at the first datum.
+    epsilon = property(lambda self: None if self._k.epsilon is None
+                       else float(np.ravel(self._k.epsilon)[0]))
 
     @property
     def P(self) -> np.ndarray | None:
@@ -768,20 +773,20 @@ class _CensoredMLE:
 
     def step(self, decision: CensorDecision, x, tau: float):
         x = np.asarray(x, dtype=np.float64)
-        self.n += 1
-        every, per_kept, _ = self._costs[0]
         if decision.kept:
             if decision.value is None:
                 raise UsageError("kept decision carries no value")
-            self.kept_count += 1
-            self.multiply_count += every + per_kept
             term = CensoredTerm(False, float(decision.value), x, tau, self.sigma)
         else:
-            self.multiply_count += every
             term = CensoredTerm(True, float(x @ self.anchor_theta), x, tau, self.sigma)
         beta, h = score_info([term.censored], [term.y_or_anchor], [float(x @ self.theta)],
                              term.tau, term.sigma)
-        self._k.update(0, x, float(beta[0]), float(h[0]), self.n)
+        k = self._k
+        k.n = n = k.n + 1
+        if decision.kept:
+            k._keep(0, x, float(beta[0]), tau, False, n, h=float(h[0]))
+        else:
+            k.update(0, x, float(beta[0]), float(h[0]), n)
         return self
 
 
@@ -896,26 +901,23 @@ def regret(traj, terms, theta_ref) -> float:
 
 
 def from_snapshot(doc: dict):
-    """Rebuild an estimator from its ``snapshot()`` document."""
+    """Rebuild an estimator from its ``snapshot()`` document: every key its
+    kind writes and no other.  P and multiply_count follow from the rest."""
     kinds = {cls.kind: cls for cls in (LMS, RLS, FirstOrderCensoredMLE, SecondOrderCensoredMLE)}
     cls = kinds.get(doc.get("kind"))
     if cls is None:
         raise ConfigError(f"unknown estimator kind in snapshot: {doc.get('kind')!r}")
-    state = {}
-    for name, value in doc.items():
-        if isinstance(value, list):
-            value = np.array(value, dtype=np.float64)
-        elif isinstance(value, dict):
-            value = StepSize(**value)
-        if name != "kind":
-            state[name] = value
+    s = config_section(doc, "snapshot", ("kind",) + cls._saved, ("kind",) + cls._saved)
+    plan, mu = (None if s.get(name) is None
+                else read_field(lambda d: make(**d), s[name], "snapshot." + name)
+                for make, name in ((ThresholdPlan, "plan"), (StepSize, "mu")))
     est = object.__new__(cls)
-    P = state.pop("P", None)  # what P_base and pending add up to
-    _Gate.__init__(est, state.pop("theta"), state.pop("sigma"), None, state.pop("tau_out"),
-                   state.pop("mu", None), state.pop("P_base", P))
-    pending = state.pop("pending", None)
-    for w in () if pending is None else pending:
-        est._k._defer(0, w)
-    for name, value in state.items():
-        setattr(est, name, value)
+    _Gate.__init__(est, s["theta"], s["sigma"], plan, s["tau_out"], mu, s.get("P_base"),
+                   s.get("epsilon"))
+    k = est._k
+    for w in s.get("pending") or ():
+        k._defer(0, w)
+    k.n, k.kept[0], k.clipped[0] = s["n"], s["kept_count"], s["clipped"]
+    if "anchor_theta" in s:
+        est.anchor_theta = np.array(s["anchor_theta"], dtype=np.float64)
     return est

@@ -258,6 +258,14 @@ def test_sigma_validation():
         LMS(2, StepSize.constant(0.1), plan=ThresholdPlan.constant(1.0))
 
 
+def test_online_plan_needs_the_rls_step_matrix():
+    # The ac-online threshold reads x'Px, which a first-order recursion
+    # does not carry: the class refuses it when built, as the harness does.
+    with pytest.raises(ConfigError, match="'ac-online' plan needs the RLS step matrix"):
+        LMS(2, StepSize.constant(0.1), 1.0, plan=ThresholdPlan.ac_online(0.5))
+    RLS(2, sigma=1.0, plan=ThresholdPlan.ac_online(0.5)).step(1.0, np.ones(2))
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("est", [RLS(2, sigma=1.0), LMS(2, StepSize.constant(0.1), 1.0)],
                          ids=["rls", "lms"])
@@ -308,15 +316,17 @@ def test_counter_rls_and_ac_rls():
     assert 0 < d < D
 
 
-def test_counter_online_plan_overhead():
+@pytest.mark.parametrize("tau", [None, 0.8], ids=["planned", "given"])
+def test_counter_online_plan_overhead(tau):
     # The online rule pays p(p+1) for x'Cx on every step; kept steps
     # reuse that product inside the update, so a kept step still totals
-    # 2p^2 + 4p while a censored one totals p^2 + 2p.
+    # 2p^2 + 4p while a censored one totals p^2 + 2p.  One ledger serves
+    # every step, so a step given its tau pays the same.
     p, D = 6, 150
     X, y, _ = _stream(43, D, p)
     est = RLS(p, sigma=1.0, plan=ThresholdPlan.ac_online(0.5))
     for n in range(D):
-        est.step(y[n], X[n])
+        est.step(y[n], X[n], tau)
     d = est.kept_count
     want = d * (2 * p * p + 4 * p) + (D - d) * (p * p + 2 * p)
     assert est.multiply_count == want
@@ -422,11 +432,23 @@ def test_snapshot_round_trip_every_kind():
 
 def test_snapshot_document_format():
     # One document over the state: arrays as nested lists, the step-size
-    # policy as {policy, value}, and no threshold plan.
+    # policy as {policy, value}, and the threshold plan as its fields.
     est = RLS(3, epsilon=0.5, sigma=1.0, plan=ThresholdPlan.constant(0.2))
     est.step(1.0, [1.0, 2.0, 0.0])
     snap = est.snapshot()
-    assert snap["kind"] == "rls" and "plan" not in snap
+    assert snap["kind"] == "rls" and snap["plan"] == {"kind": "constant", "tau": 0.2}
+    gram_inv = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    for plan, want in [
+        (ThresholdPlan.ac_offline(3, [0.5, 0.25]),
+         {"kind": "ac-offline", "target_pi": [0.5, 0.25], "p": 3}),
+        (ThresholdPlan.nac_exact(gram_inv, 0.75),
+         {"kind": "nac-exact", "target_pi": 0.75, "gram_inv": gram_inv.tolist()}),
+    ]:
+        doc = json.loads(json.dumps(RLS(3, sigma=1.0, plan=plan).snapshot()))
+        assert doc["plan"] == want
+        back = from_snapshot(doc).plan
+        assert back.target_pi == plan.target_pi and back.p == plan.p
+        assert np.array_equal(back.gram_inv, plan.gram_inv)
     assert snap["P"] == est.P.tolist() and snap["theta"] == est.theta.tolist()
     assert snap["epsilon"] == 0.5 and snap["sigma"] == 1.0 and snap["tau_out"] is None
     lms = LMS(2, StepSize.diminishing(0.3)).snapshot()
@@ -437,6 +459,13 @@ def test_snapshot_document_format():
 def test_snapshot_unknown_kind():
     with pytest.raises(ConfigError):
         from_snapshot({"kind": "oracle"})
+    # A document holds the keys its kind writes, all of them and no other.
+    snap = RLS(2, epsilon=0.5, sigma=1.0).snapshot()
+    with pytest.raises(ConfigError, match="unknown snapshot field 'bogus'"):
+        from_snapshot({**snap, "bogus": 3})
+    del snap["sigma"]
+    with pytest.raises(ConfigError, match="missing required field 'snapshot.sigma'"):
+        from_snapshot(snap)
 
 
 # ---------------------------------------------------------------------

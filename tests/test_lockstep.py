@@ -37,8 +37,8 @@ R = 3
 TOL = 1e-10
 
 
-def _scalar_estimator(cfg, p, sigma, prelim):
-    method, plan, mu = cfg.method, _plan_of(cfg, p), cfg.mu
+def _scalar_estimator(cfg, p, sigma, prelim, plan=None):
+    method, plan, mu = cfg.method, plan or _plan_of(cfg, p), cfg.mu
     if method == "samle1":
         return FirstOrderCensoredMLE(prelim, sigma, mu or StepSize.diminishing(sigma * sigma))
     if method == "samle2":
@@ -708,6 +708,37 @@ def test_restored_class_resumes_bitwise(method, kind, data):
     for name in names:
         assert getattr(est, name).tobytes() == getattr(twin, name).tobytes(), name
     for name in ("n", "kept_count", "multiply_count"):
+        assert getattr(est, name) == getattr(twin, name), name
+
+
+# Every class method and plan kind, ac-online and per-datum ac-offline
+# schedules included, restored at a drawn step (at 0 an RLS has not yet
+# fixed its ridge): the twin steps on the plan its snapshot carries.
+@pytest.mark.parametrize("method, kind", CLASSED)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_restored_class_resumes_on_its_own_plan(method, kind, data):
+    cfg = data.draw(stream_configs(method, kind))
+    spec = cfg.stream.pinned()
+    X, y = materialize(spec.with_seed(derive(cfg.seed, 0)))
+    p, plan = X.shape[1], None
+    if kind == "constant":
+        plan = ThresholdPlan.constant(cfg.censor["tau"])
+    elif kind == "ac-offline" and data.draw(st.booleans(), label="per-datum schedule"):
+        last = data.draw(st.floats(0.2, 0.9), label="last target")
+        plan = ThresholdPlan.ac_offline(p, np.linspace(cfg.censor["target_pi"], last, len(y)))
+    est = _scalar_estimator(cfg, p, spec.sigma, None, plan)
+    at = data.draw(st.integers(0, len(y)), label="snapshot after step")
+    for n in range(at):
+        est.step(float(y[n]), X[n])
+    twin = estimators.from_snapshot(json.loads(json.dumps(est.snapshot())))
+    for n in range(at, len(y)):
+        est.step(float(y[n]), X[n])
+        twin.step(float(y[n]), X[n])
+    names = ("theta", "P_base", "pending") if method.endswith("rls") else ("theta",)
+    for name in names:
+        assert getattr(est, name).tobytes() == getattr(twin, name).tobytes(), name
+    for name in ("n", "kept_count", "clipped", "multiply_count"):
         assert getattr(est, name) == getattr(twin, name), name
 
 
